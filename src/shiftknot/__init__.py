@@ -60,7 +60,6 @@ from .files import (
 from .surface import (
     SurfacePatch,
     elevate_patch,
-    elevation_weights,
     eval_patch,
     eval_patch_decasteljau,
     isoparam_u,
@@ -104,7 +103,6 @@ __all__ = [
     "sample_patch",
     "isoparam_u",
     "isoparam_v",
-    "elevation_weights",
     "elevate_patch",
     "GeometryError",
     "ConstraintError",

@@ -1,92 +1,31 @@
 """Batch evaluation kernels.
 
-The hot loops live here as plain array functions. When numba is importable
-and ``SHIFTKNOT_DISABLE_NUMBA`` is unset, the loop variants are JIT-compiled
-and selected; otherwise vectorized numpy fallbacks with identical contracts
-take over. Both variants remain importable (``*_numpy`` / ``*_jit``) so the
-test suite and ``benchmarks/bench_kernels.py`` can compare them directly.
-
-Kernels do no validation: callers pass parameters already clamped into the
-valid domain and a precomputed binomial row.
+Kernels do no validation: callers pass the normalized convex pair
+``(wl, wr)`` of parameters already clamped into the valid domain (see
+:meth:`shiftknot.basis.DomainInterval.weights`) and a precomputed binomial
+row.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "basis_rows_batch",
-    "basis_rows_batch_numpy",
-    "basis_rows_batch_jit",
     "decasteljau_batch",
-    "decasteljau_batch_numpy",
-    "decasteljau_batch_jit",
     "patch_grid",
-    "patch_grid_numpy",
-    "patch_grid_jit",
-    "warmup",
 ]
 
-_ENV_FLAG = "SHIFTKNOT_DISABLE_NUMBA"
 
+def basis_rows_batch(wl, wr, binom):
+    """All basis values of one degree at every sample, shape (len(wl), n+1).
 
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in {"1", "true", "yes", "on"}
-
-
-def _basis_rows_core(ts, lo, hi, binom):
-    # out[s, k] = binom[k] * x**k * y**(n - k) in normalized coordinates
-    # x = (t - lo)/(hi - lo), y = (hi - t)/(hi - lo). Dividing by the width
-    # instead of multiplying by the closed-form scale keeps endpoint rows
-    # exactly equal to unit vectors.
-    n = binom.shape[0] - 1
-    width = hi - lo
-    count = ts.shape[0]
-    out = np.empty((count, n + 1))
-    for s in range(count):
-        x = (ts[s] - lo) / width
-        y = (hi - ts[s]) / width
-        px = 1.0
-        for k in range(n + 1):
-            out[s, k] = binom[k] * px
-            px *= x
-        py = 1.0
-        for k in range(n, -1, -1):
-            out[s, k] *= py
-            py *= y
-    return out
-
-
-def basis_rows_batch_numpy(ts, lo, hi, binom):
-    """All basis values of one degree at every sample, shape (len(ts), n+1)."""
+    Entry ``[s, k]`` is ``binom[k] * wr[s]**k * wl[s]**(n - k)``.
+    """
     n = binom.shape[0] - 1
     k = np.arange(n + 1)
-    width = hi - lo
-    x = ((ts - lo) / width)[:, None]
-    y = ((hi - ts) / width)[:, None]
-    return binom * x**k * y ** (n - k)
+    return binom * wr[:, None] ** k * wl[:, None] ** (n - k)
 
 
-def _decasteljau_core(control, wl, wr):
-    count = wl.shape[0]
-    rows, dim = control.shape
-    out = np.empty((count, dim))
-    work = np.empty((rows, dim))
-    for s in range(count):
-        for i in range(rows):
-            for c in range(dim):
-                work[i, c] = control[i, c]
-        for r in range(1, rows):
-            for i in range(rows - r):
-                for c in range(dim):
-                    work[i, c] = wl[s] * work[i, c] + wr[s] * work[i + 1, c]
-        for c in range(dim):
-            out[s, c] = work[0, c]
-    return out
-
-
-def decasteljau_batch_numpy(control, wl, wr):
+def decasteljau_batch(control, wl, wr):
     """Pyramid collapse of one control polygon at many parameters.
 
     ``wl``/``wr`` are the per-sample left/right convex weights; they stay
@@ -102,65 +41,6 @@ def decasteljau_batch_numpy(control, wl, wr):
     return work[:, 0]
 
 
-def _patch_grid_core(net, rows_u, rows_v):
-    m1, n1, dim = net.shape
-    nu = rows_u.shape[0]
-    nv = rows_v.shape[0]
-    tmp = np.zeros((m1, nv, dim))
-    for i in range(m1):
-        for v in range(nv):
-            for j in range(n1):
-                w = rows_v[v, j]
-                for c in range(dim):
-                    tmp[i, v, c] += w * net[i, j, c]
-    out = np.zeros((nu, nv, dim))
-    for u in range(nu):
-        for i in range(m1):
-            w = rows_u[u, i]
-            for v in range(nv):
-                for c in range(dim):
-                    out[u, v, c] += w * tmp[i, v, c]
-    return out
-
-
-def patch_grid_numpy(net, rows_u, rows_v):
+def patch_grid(net, rows_u, rows_v):
     """Tensor-product contraction over a full sample grid, shape (U, V, d)."""
     return np.einsum("ui,ijc,vj->uvc", rows_u, net, rows_v, optimize=True)
-
-
-NUMBA_ENABLED = False
-basis_rows_batch_jit = None
-decasteljau_batch_jit = None
-patch_grid_jit = None
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        basis_rows_batch_jit = njit(cache=True)(_basis_rows_core)
-        decasteljau_batch_jit = njit(cache=True)(_decasteljau_core)
-        patch_grid_jit = njit(cache=True)(_patch_grid_core)
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    basis_rows_batch = basis_rows_batch_jit
-    decasteljau_batch = decasteljau_batch_jit
-    patch_grid = patch_grid_jit
-else:
-    basis_rows_batch = basis_rows_batch_numpy
-    decasteljau_batch = decasteljau_batch_numpy
-    patch_grid = patch_grid_numpy
-
-
-def warmup() -> None:
-    """Run every selected kernel once on tiny inputs.
-
-    With numba enabled this triggers (or loads the cached) compilation, so
-    timed code afterwards measures steady-state throughput.
-    """
-    binom = np.array([1.0, 1.0])
-    basis_rows_batch(np.array([0.5]), 0.0, 1.0, binom)
-    decasteljau_batch(np.array([[0.0], [1.0]]), np.array([0.5]), np.array([0.5]))
-    patch_grid(np.zeros((2, 2, 1)), np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))

@@ -53,8 +53,12 @@ class ShiftedKnotConfig:
     beta: float
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        beta = float(self.beta)
+        try:
+            alpha = float(self.alpha)
+            beta = float(self.beta)
+        except OverflowError:
+            # an integer beyond float range, such as a JSON literal 10**400
+            alpha = beta = math.inf
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ConstraintError("shift parameters must be finite")
         if alpha < 0 or beta < 0:
@@ -132,6 +136,16 @@ class DomainInterval:
                 )
         return np.clip(ts, self.lo, self.hi)
 
+    def weights(self, t):
+        """Normalized convex pair ``((hi - t) / width, (t - lo) / width)``.
+
+        ``t`` is an admitted scalar or array. The shifted basis is the
+        classical Bernstein basis in this pair; dividing by the width keeps
+        it exactly ``(1, 0)`` and ``(0, 1)`` at the ends.
+        """
+        width = self.width
+        return (self.hi - t) / width, (t - self.lo) / width
+
     def to_unit(self, t: float) -> float:
         """Affinely map interval points onto [0, 1]."""
         return (float(t) - self.lo) / self.width
@@ -147,20 +161,22 @@ class DomainInterval:
         return np.linspace(self.lo, self.hi, count)
 
 
-def _check_degree(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ConstraintError(f"degree must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1:
-        raise ConstraintError(f"degree must be at least 1, got {n}")
-    if n > MAX_DEGREE:
-        raise ConstraintError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-    return n
+def _check_int(value, lo: int, hi: int, what: str, error: type[Exception]) -> int:
+    """Return ``value`` as an ``int`` in ``lo..hi``, or raise ``error``.
+
+    Bools and floats are rejected even when they equal an integer.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if not lo <= value <= hi:
+        raise error(f"{what} {value} outside {lo}..{hi}")
+    return value
 
 
 def domain(config: ShiftedKnotConfig, n: int) -> DomainInterval:
     """Parameter interval carried by the degree-n basis of ``config``."""
-    n = _check_degree(n)
+    n = _check_int(n, 1, MAX_DEGREE, "degree", ConstraintError)
     denom = n + config.beta
     return DomainInterval(config.alpha / denom, (n + config.alpha) / denom, n)
 
@@ -173,12 +189,9 @@ class BasisIndex:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _check_degree(self.n))
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
-            raise IndexError(f"basis position must be an integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
-        if not 0 <= self.k <= self.n:
-            raise IndexError(f"basis position {self.k} outside 0..{self.n}")
+        n = _check_int(self.n, 1, MAX_DEGREE, "degree", ConstraintError)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", _check_int(self.k, 0, n, "basis position", IndexError))
 
 
 def _as_index(idx) -> BasisIndex:
@@ -205,10 +218,6 @@ def binomial_row(n: int) -> np.ndarray:
     return row
 
 
-def _scale(config: ShiftedKnotConfig, n: int) -> float:
-    return ((n + config.beta) / n) ** n
-
-
 def basis_value(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = False) -> float:
     """Value of one shifted-knot Bernstein basis function.
 
@@ -217,14 +226,8 @@ def basis_value(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = False
     """
     idx = _as_index(idx)
     dom = domain(config, idx.n)
-    t = dom.admit(t, clamp)
-    binom = binomial_row(idx.n)
-    return float(
-        binom[idx.k]
-        * _scale(config, idx.n)
-        * (t - dom.lo) ** idx.k
-        * (dom.hi - t) ** (idx.n - idx.k)
-    )
+    wl, wr = dom.weights(dom.admit(t, clamp))
+    return float(binomial_row(idx.n)[idx.k] * wr**idx.k * wl ** (idx.n - idx.k))
 
 
 def basis_row(config: ShiftedKnotConfig, n: int, t: float, *, clamp: bool = False) -> np.ndarray:
@@ -235,8 +238,8 @@ def basis_row(config: ShiftedKnotConfig, n: int, t: float, *, clamp: bool = Fals
 def basis_rows(config: ShiftedKnotConfig, n: int, ts, *, clamp: bool = False) -> np.ndarray:
     """Basis values at many parameters, shape ``(len(ts), n + 1)``."""
     dom = domain(config, n)
-    ts = dom.admit_array(ts, clamp)
-    return _kernels.basis_rows_batch(ts, dom.lo, dom.hi, binomial_row(n))
+    wl, wr = dom.weights(dom.admit_array(ts, clamp))
+    return _kernels.basis_rows_batch(wl, wr, binomial_row(n))
 
 
 def basis_row_by_recurrence(
@@ -252,9 +255,7 @@ def basis_row_by_recurrence(
     bases on their own shifted domains.
     """
     dom = domain(config, n)
-    t = dom.admit(t, clamp)
-    wr = (t - dom.lo) / dom.width
-    wl = (dom.hi - t) / dom.width
+    wl, wr = dom.weights(dom.admit(t, clamp))
     row = np.zeros(n + 1)
     row[0] = 1.0
     for m in range(1, n + 1):
@@ -279,23 +280,15 @@ def basis_value_in_frame(
 
     The degree-raising and degree-lowering identities relate neighbouring
     degrees inside a single frame: the lower/higher-degree factors keep the
-    frame's interval and scale base rather than moving to their own shifted
-    domains. This helper makes those identities directly checkable.
+    frame's interval (and so its normalized pair) rather than moving to their
+    own shifted domains. This helper makes those identities directly
+    checkable.
     """
     dom = domain(config, frame_degree)
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 0:
-        raise ConstraintError(f"degree must be a nonnegative integer, got {degree!r}")
-    degree = int(degree)
-    if not 0 <= k <= degree:
-        raise IndexError(f"basis position {k} outside 0..{degree}")
-    t = dom.admit(t, clamp)
-    factor = (frame_degree + config.beta) / frame_degree
-    return float(
-        binomial_row(degree)[k]
-        * factor**degree
-        * (t - dom.lo) ** k
-        * (dom.hi - t) ** (degree - k)
-    )
+    degree = _check_int(degree, 0, MAX_DEGREE, "degree", ConstraintError)
+    k = _check_int(k, 0, degree, "basis position", IndexError)
+    wl, wr = dom.weights(dom.admit(t, clamp))
+    return float(binomial_row(degree)[k] * wr**k * wl ** (degree - k))
 
 
 def elevation_coefficients(n: int, k: int) -> tuple[float, float]:
@@ -314,10 +307,8 @@ def basis_derivative(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = 
     """First derivative of one basis function, one-sided at the endpoints."""
     idx = _as_index(idx)
     dom = domain(config, idx.n)
-    t = dom.admit(t, clamp)
+    wl, wr = dom.weights(dom.admit(t, clamp))
     n, k = idx.n, idx.k
-    x = t - dom.lo
-    y = dom.hi - t
-    rising = k * x ** (k - 1) * y ** (n - k) if k > 0 else 0.0
-    falling = (n - k) * x**k * y ** (n - k - 1) if k < n else 0.0
-    return float(binomial_row(n)[k] * _scale(config, n) * (rising - falling))
+    rising = k * wr ** (k - 1) * wl ** (n - k) if k > 0 else 0.0
+    falling = (n - k) * wr**k * wl ** (n - k - 1) if k < n else 0.0
+    return float(binomial_row(n)[k] * (rising - falling) / dom.width)

@@ -17,6 +17,7 @@ from .basis import (
     MAX_DEGREE,
     DomainInterval,
     ShiftedKnotConfig,
+    _check_int,
     basis_row,
     basis_rows,
     domain,
@@ -42,16 +43,26 @@ __all__ = [
 Point = np.ndarray
 
 
-def _freeze_points(points, *, min_rows: int, what: str) -> np.ndarray:
+def _freeze_points(points, *, ndim: int, what: str) -> np.ndarray:
+    """Read-only float copy of an ``ndim``-dimensional array of points.
+
+    Every axis but the last (the coordinates) is one degree direction and
+    holds ``2 .. MAX_DEGREE + 1`` points.
+    """
     try:
         arr = np.array(points, dtype=np.float64)
+    except OverflowError:
+        # an integer beyond float range, such as a JSON literal 10**400
+        raise ConstraintError(f"{what} coordinates must be finite") from None
     except (TypeError, ValueError) as exc:
         raise ConstraintError(f"{what} must form a rectangular numeric array") from exc
-    if arr.ndim != 2:
-        raise ConstraintError(f"{what} must be a sequence of points, got shape {arr.shape}")
-    if arr.shape[0] < min_rows:
-        raise ConstraintError(f"{what} needs at least {min_rows} points, got {arr.shape[0]}")
-    if arr.shape[1] < 1:
+    if arr.ndim != ndim:
+        raise ConstraintError(
+            f"{what} must be a {ndim - 1}-dimensional array of points, got shape {arr.shape}"
+        )
+    for rows in arr.shape[:-1]:
+        _check_int(rows - 1, 1, MAX_DEGREE, "degree", ConstraintError)
+    if arr.shape[-1] < 1:
         raise ConstraintError(f"{what} points need at least one coordinate")
     if not np.all(np.isfinite(arr)):
         raise ConstraintError(f"{what} coordinates must be finite")
@@ -69,11 +80,7 @@ class Curve:
     def __post_init__(self):
         if not isinstance(self.config, ShiftedKnotConfig):
             raise ConstraintError("config must be a ShiftedKnotConfig")
-        arr = _freeze_points(self.control, min_rows=2, what="control polygon")
-        if arr.shape[0] - 1 > MAX_DEGREE:
-            raise ConstraintError(
-                f"degree {arr.shape[0] - 1} exceeds the supported maximum {MAX_DEGREE}"
-            )
+        arr = _freeze_points(self.control, ndim=2, what="control polygon")
         object.__setattr__(self, "control", arr)
 
     @property
@@ -89,12 +96,6 @@ class Curve:
         return domain(self.config, self.degree)
 
 
-def _weights(dom: DomainInterval, t: float) -> tuple[float, float]:
-    # Convex pair (left, right); constant across pyramid levels. Dividing by
-    # the width keeps the pair exactly (1, 0) / (0, 1) at the endpoints.
-    return (dom.hi - t) / dom.width, (t - dom.lo) / dom.width
-
-
 def eval_direct(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
     """Blend the control points with the basis row at ``t``."""
     return basis_row(curve.config, curve.degree, t, clamp=clamp) @ curve.control
@@ -102,8 +103,8 @@ def eval_direct(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
 
 def eval_decasteljau(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
     """Collapse the control polygon by repeated convex combination."""
-    t = curve.domain.admit(t, clamp)
-    wl, wr = _weights(curve.domain, t)
+    dom = curve.domain
+    wl, wr = dom.weights(dom.admit(t, clamp))
     return _kernels.decasteljau_batch(curve.control, np.array([wl]), np.array([wr]))[0]
 
 
@@ -115,8 +116,7 @@ def eval_matrix_form(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarr
     checkable against :func:`step_matrix`.
     """
     dom = curve.domain
-    t = dom.admit(t, clamp)
-    wl, wr = _weights(dom, t)
+    wl, wr = dom.weights(dom.admit(t, clamp))
     vec = curve.control
     for r in range(1, curve.degree + 1):
         vec = _band_matrix(curve.degree - r + 1, wl, wr) @ vec
@@ -131,9 +131,7 @@ def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = F
         rows = basis_rows(curve.config, curve.degree, ts, clamp=True)
         return rows @ curve.control
     if algorithm == "decasteljau":
-        return _kernels.decasteljau_batch(
-            curve.control, (dom.hi - ts) / dom.width, (ts - dom.lo) / dom.width
-        )
+        return _kernels.decasteljau_batch(curve.control, *dom.weights(ts))
     if algorithm == "matrix":
         return np.array([eval_matrix_form(curve, float(t)) for t in ts])
     raise ConstraintError(f"unknown algorithm {algorithm!r}")
@@ -157,8 +155,8 @@ class DeCasteljauTriangle:
 
 def decasteljau_triangle(curve: Curve, t: float, *, clamp: bool = False) -> DeCasteljauTriangle:
     """Run the pyramid and keep every level."""
-    t = curve.domain.admit(t, clamp)
-    wl, wr = _weights(curve.domain, t)
+    dom = curve.domain
+    wl, wr = dom.weights(dom.admit(t, clamp))
     work = curve.control
     levels = [work]
     for _ in range(curve.degree):
@@ -185,13 +183,9 @@ def step_matrix(
     applied to the control polygon yields the curve point.
     """
     dom = domain(config, n)
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-        raise IndexError(f"step index must be an integer, got {r!r}")
-    if not 1 <= int(r) <= n:
-        raise IndexError(f"step index {r} outside 1..{n}")
-    t = dom.admit(t, clamp)
-    wl, wr = _weights(dom, t)
-    return _band_matrix(n - int(r) + 1, wl, wr)
+    r = _check_int(r, 1, dom.degree, "step index", IndexError)
+    wl, wr = dom.weights(dom.admit(t, clamp))
+    return _band_matrix(dom.degree - r + 1, wl, wr)
 
 
 def elevation_matrix(n: int) -> np.ndarray:
@@ -201,11 +195,7 @@ def elevation_matrix(n: int) -> np.ndarray:
     with ``(n+1-j)/(n+1)`` of point ``j``, so both endpoints are copied
     verbatim.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ConstraintError(f"degree must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1 or n > MAX_DEGREE:
-        raise ConstraintError(f"degree {n} outside 1..{MAX_DEGREE}")
+    n = _check_int(n, 1, MAX_DEGREE, "degree", ConstraintError)
     mat = np.zeros((n + 2, n + 1))
     for j in range(n + 2):
         if j <= n:
@@ -227,9 +217,8 @@ def elevate(curve: Curve) -> Curve:
 
 def elevate_many(curve: Curve, levels: int) -> Curve:
     """Apply :func:`elevate` ``levels`` times."""
-    if not isinstance(levels, (int, np.integer)) or isinstance(levels, bool) or levels < 1:
-        raise ConstraintError(f"elevation count must be a positive integer, got {levels!r}")
-    for _ in range(int(levels)):
+    levels = _check_int(levels, 1, MAX_DEGREE - curve.degree, "elevation count", ConstraintError)
+    for _ in range(levels):
         curve = elevate(curve)
     return curve
 

@@ -84,11 +84,12 @@ def _field(data: dict, name: str):
     return data[name]
 
 
-def _number(data: dict, name: str) -> float:
+def _number(data: dict, name: str) -> int | float:
+    # no float() here: make_config reports an integer beyond float range
     value = _field(data, name)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"field {name!r} must be a number")
-    return float(value)
+    return value
 
 
 def parse_curve(text: str) -> Curve:

@@ -14,14 +14,13 @@ import numpy as np
 
 from . import _kernels
 from .basis import (
-    MAX_DEGREE,
     DomainInterval,
     ShiftedKnotConfig,
     basis_row,
     basis_rows,
     domain,
 )
-from .curve import Curve, _weights
+from .curve import Curve, _freeze_points, elevation_matrix
 from .errors import ConstraintError
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "sample_patch",
     "isoparam_u",
     "isoparam_v",
-    "elevation_weights",
     "elevate_patch",
 ]
 
@@ -46,23 +44,7 @@ class SurfacePatch:
     def __post_init__(self):
         if not isinstance(self.config, ShiftedKnotConfig):
             raise ConstraintError("config must be a ShiftedKnotConfig")
-        try:
-            arr = np.array(self.net, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ConstraintError("control net must form a rectangular numeric array") from exc
-        if arr.ndim != 3:
-            raise ConstraintError(
-                f"control net must be (m+1) x (n+1) points, got shape {arr.shape}"
-            )
-        if arr.shape[0] < 2 or arr.shape[1] < 2:
-            raise ConstraintError("control net needs at least 2 points per direction")
-        if arr.shape[2] < 1:
-            raise ConstraintError("control net points need at least one coordinate")
-        if not np.all(np.isfinite(arr)):
-            raise ConstraintError("control net coordinates must be finite")
-        if arr.shape[0] - 1 > MAX_DEGREE or arr.shape[1] - 1 > MAX_DEGREE:
-            raise ConstraintError(f"patch degrees exceed the supported maximum {MAX_DEGREE}")
-        arr.setflags(write=False)
+        arr = _freeze_points(self.net, ndim=3, what="control net")
         object.__setattr__(self, "net", arr)
 
     @property
@@ -112,31 +94,17 @@ def isoparam_v(patch: SurfacePatch, u_star: float, *, clamp: bool = False) -> Cu
     return Curve(patch.config, np.einsum("ijc,i->jc", patch.net, row_u))
 
 
-def elevation_weights(degree: int) -> np.ndarray:
-    """Blend fractions ``i / (degree + 1)`` for ``i = 0 .. degree + 1``."""
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 1:
-        raise ConstraintError(f"degree must be a positive integer, got {degree!r}")
-    return np.arange(int(degree) + 2) / (int(degree) + 1)
-
-
 def elevate_patch(patch: SurfacePatch) -> SurfacePatch:
     """Raise both degrees by one without changing the traced surface.
 
     Each new control point is the bilinear blend of its up-to-four old
-    neighbours; the four weights sum to 1, and the corner rows/columns copy
-    the old boundary exactly. Equivalent to elevating every row of the net
-    as a curve, then every column.
+    neighbours; the four weights sum to 1, and the corner points copy the
+    old corners exactly. Equivalent to elevating every row of the net as a
+    curve, then every column.
     """
     m, n = patch.degrees
-    dim = patch.dimension
-    au = elevation_weights(m)[:, None, None]
-    bv = elevation_weights(n)[None, :, None]
-    out = np.zeros((m + 2, n + 2, dim))
-    out[1:, 1:] += (au[1:] * bv[:, 1:]) * patch.net
-    out[1:, :-1] += (au[1:] * (1.0 - bv[:, :-1])) * patch.net
-    out[:-1, 1:] += ((1.0 - au[:-1]) * bv[:, 1:]) * patch.net
-    out[:-1, :-1] += ((1.0 - au[:-1]) * (1.0 - bv[:, :-1])) * patch.net
-    return SurfacePatch(patch.config, out)
+    net = np.einsum("ai,ijc,bj->abc", elevation_matrix(m), patch.net, elevation_matrix(n))
+    return SurfacePatch(patch.config, net)
 
 
 def eval_patch_decasteljau(
@@ -152,8 +120,8 @@ def eval_patch_decasteljau(
     dom_u, dom_v = patch.domain_u, patch.domain_v
     u = dom_u.admit(u, clamp)
     v = dom_v.admit(v, clamp)
-    wlu, wru = _weights(dom_u, u)
-    wlv, wrv = _weights(dom_v, v)
+    wlu, wru = dom_u.weights(u)
+    wlv, wrv = dom_v.weights(v)
     work = patch.net
     for _ in range(min(m, n)):
         work = (

@@ -1,20 +1,9 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from shiftknot import _kernels
-
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "oracle_fixtures.json"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # trigger (or load) the JIT compilation once so timed checks downstream
-    # measure steady-state throughput
-    _kernels.warmup()
-    yield
 
 
 @pytest.fixture(scope="session")

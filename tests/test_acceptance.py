@@ -9,7 +9,6 @@ figure-producing CLI path. Each check prints one verdict line; run with
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -355,14 +354,11 @@ def test_acceptance_8_exact_reference_agreement(oracle_fixtures):
 
 
 def test_acceptance_9_cli_basis_figure():
-    env = dict(os.environ, SHIFTKNOT_DISABLE_NUMBA="1")
-
     def run(*argv):
         proc = subprocess.run(
             [sys.executable, "-m", "shiftknot", *argv],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

@@ -9,6 +9,7 @@ from shiftknot import (
     MAX_DEGREE,
     BasisIndex,
     ConstraintError,
+    Curve,
     DomainError,
     basis_derivative,
     basis_row,
@@ -19,11 +20,16 @@ from shiftknot import (
     binomial_row,
     domain,
     elevation_coefficients,
+    elevate_many,
+    elevation_matrix,
     make_config,
+    step_matrix,
 )
 
 import _classical
 from _helpers import random_config
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 class TestConfig:
@@ -36,7 +42,16 @@ class TestConfig:
         assert (cfg.alpha, cfg.beta) == (4.0, 6.0)
         assert not cfg.is_classical
 
-    @pytest.mark.parametrize("alpha,beta", [(6, 4), (-1, 2), (2, -1), (float("nan"), 1)])
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [
+            (6, 4),
+            (-1, 2),
+            (2, -1),
+            (float("nan"), 1),
+            pytest.param(10**400, 10**401, id="int-beyond-float"),
+        ],
+    )
     def test_invalid_pairs_rejected(self, alpha, beta):
         with pytest.raises(ConstraintError):
             make_config(alpha, beta)
@@ -119,6 +134,34 @@ class TestBasisValue:
     def test_index_object_accepted(self):
         cfg = make_config(4, 6)
         assert basis_value(cfg, BasisIndex(3, 1), 0.6) == basis_value(cfg, (3, 1), 0.6)
+
+    @pytest.mark.parametrize("alpha,beta", [(4, 6), (1e3, 1e4), (1e8, 1e9)])
+    def test_endpoints_interpolate_exactly(self, alpha, beta):
+        # through degree 52 the float binomials, and so the end values, are exact
+        cfg = make_config(alpha, beta)
+        for n in range(1, 53):
+            dom = domain(cfg, n)
+            assert basis_value(cfg, (n, 0), dom.lo) == 1.0
+            assert basis_value(cfg, (n, n), dom.hi) == 1.0
+
+    def test_wide_shift_at_max_degree_stays_finite(self):
+        cfg = make_config(1e6, 1e7)
+        dom = domain(cfg, 64)
+        t = dom.lo + 0.37 * dom.width
+        values = [basis_value(cfg, (64, k), t) for k in range(65)]
+        slopes = [basis_derivative(cfg, (64, k), t) for k in range(65)]
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(slopes))
+        np.testing.assert_allclose(values, basis_rows(cfg, 64, [t])[0], rtol=4 * EPS, atol=0)
+
+    def test_scalar_matches_row_across_the_box(self):
+        rng = np.random.default_rng(2015)
+        for _ in range(200):
+            beta = 10 ** rng.uniform(0, 9)
+            cfg = make_config(beta * rng.uniform(), beta)
+            n = int(rng.integers(1, MAX_DEGREE + 1))
+            t = domain(cfg, n).from_unit(rng.uniform())
+            vals = [basis_value(cfg, (n, k), t) for k in range(n + 1)]
+            np.testing.assert_allclose(vals, basis_row(cfg, n, t), rtol=4 * EPS, atol=0)
 
 
 class TestBasisRow:
@@ -369,3 +412,38 @@ def test_endpoint_rows_are_unit_vectors_property(pair, n):
 def test_classical_reduction_property(n, t):
     row = basis_row(make_config(0, 0), n, t)
     np.testing.assert_allclose(row, _classical.bernstein_row(n, t), atol=1e-14, rtol=1e-14)
+
+
+_CFG = make_config(4, 6)
+# each integer argument: the call, the error it raises, the values it accepts
+INTEGER_ARGUMENTS = {
+    "domain": (lambda v: domain(_CFG, v), ConstraintError, ()),
+    "BasisIndex.k": (lambda v: BasisIndex(64, v), IndexError, (0,)),
+    "step_matrix": (
+        lambda v: step_matrix(_CFG, 64, v, domain(_CFG, 64).lo),
+        IndexError,
+        (),
+    ),
+    "elevation_matrix": (elevation_matrix, ConstraintError, ()),
+    "elevate_many": (
+        lambda v: elevate_many(Curve(_CFG, np.zeros((4, 2))), v),
+        ConstraintError,
+        (),
+    ),
+    "basis_value_in_frame": (
+        lambda v: basis_value_in_frame(_CFG, 3, v, 0, domain(_CFG, 3).lo),
+        ConstraintError,
+        (0,),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 0, 65], ids=repr)
+@pytest.mark.parametrize("entry", list(INTEGER_ARGUMENTS))
+def test_integer_argument_range(entry, value):
+    call, error, accepted = INTEGER_ARGUMENTS[entry]
+    if type(value) is int and value in accepted:
+        call(value)
+    else:
+        with pytest.raises(error):
+            call(value)

@@ -1,14 +1,11 @@
 """End-to-end command runs through ``python -m shiftknot``.
 
 Each invocation is a real subprocess so exit codes, stdout/stderr split and
-byte determinism are tested exactly as a shell user sees them. The JIT is
-disabled in the child processes; compilation time would dominate and the
-numeric paths are compared elsewhere.
+byte determinism are tested exactly as a shell user sees them.
 """
 
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -18,15 +15,12 @@ import pytest
 
 from shiftknot import Curve, SurfacePatch, make_config, save_curve, save_patch
 
-ENV = dict(os.environ, SHIFTKNOT_DISABLE_NUMBA="1")
-
 
 def run_cli(*argv, expect=0):
     proc = subprocess.run(
         [sys.executable, "-m", "shiftknot", *argv],
         capture_output=True,
         text=True,
-        env=ENV,
     )
     assert proc.returncode == expect, (proc.returncode, proc.stderr)
     return proc
@@ -181,6 +175,39 @@ class TestCurveCommands:
         assert "JSON" in proc.stderr
 
 
+# an integer literal beyond float range, such as a JSON file may hold
+HUGE = "1" + "0" * 400
+
+
+class TestOversizedIntegers:
+    def _assert_one_error_line(self, proc):
+        assert proc.stderr.startswith("shiftknot: error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_curve_alpha(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            f'{{"alpha": {HUGE}, "beta": {HUGE}0, "degree": 1, "control": [[0], [1]]}}'
+        )
+        self._assert_one_error_line(run_cli("curve-eval", str(path), "0.5", expect=1))
+
+    def test_curve_control_coordinate(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            f'{{"alpha": 4, "beta": 6, "degree": 1, "control": [[0, {HUGE}], [1, 1]]}}'
+        )
+        self._assert_one_error_line(run_cli("curve-eval", str(path), "0.5", expect=1))
+
+    def test_patch_control_coordinate(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"alpha": 4, "beta": 6, "degrees": [1, 1], "control": '
+            f'[[[0, 0, {HUGE}], [0, 1, 0]], [[1, 0, 0], [1, 1, 2]]]}}'
+        )
+        self._assert_one_error_line(run_cli("surface-sample", str(path), expect=1))
+
+
 class TestSurfaceCommand:
     def test_csv_grid(self, patch_file):
         proc = run_cli("surface-sample", patch_file, "--samples", "4")
@@ -212,7 +239,7 @@ class TestSurfaceCommand:
 class TestArgumentErrors:
     def test_no_command(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "shiftknot"], capture_output=True, text=True, env=ENV
+            [sys.executable, "-m", "shiftknot"], capture_output=True, text=True
         )
         assert proc.returncode == 2
 
@@ -222,8 +249,7 @@ class TestArgumentErrors:
              "--degree", "2", "--format", "yaml"],
             capture_output=True,
             text=True,
-            env=ENV,
-        )
+            )
         assert proc.returncode == 2
 
     def test_too_few_samples(self):

@@ -59,6 +59,7 @@ class TestCurveContainer:
             np.zeros((1, 2)),  # a single point has no degree
             np.array([[0.0, np.nan], [1.0, 1.0]]),
             np.zeros((3, 0)),
+            [[10**400, 0.0], [1.0, 1.0]],  # an integer beyond float range
         ],
     )
     def test_bad_nets_rejected(self, pts):

@@ -1,27 +1,20 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from shiftknot import _kernels
-from shiftknot import basis_row, basis_rows, domain, make_config
+from shiftknot import basis_row, basis_rows, binomial_row, domain, make_config
 
-
-def _basis_args(n=6):
-    from shiftknot.basis import binomial_row
-
-    cfg = make_config(3, 7)
-    dom = domain(cfg, n)
-    return dom.grid(40), dom.lo, dom.hi, binomial_row(n)
+import _classical
 
 
 class TestNumpyVariants:
     def test_basis_rows_matches_public_api(self):
-        ts, lo, hi, binom = _basis_args()
-        got = _kernels.basis_rows_batch_numpy(ts, lo, hi, binom)
-        want = basis_rows(make_config(3, 7), 6, ts)
+        # the shifted basis is the classical one in the normalized pair
+        dom = domain(make_config(3, 7), 6)
+        ts = dom.grid(40)
+        wl, wr = dom.weights(ts)
+        got = _kernels.basis_rows_batch(wl, wr, binomial_row(6))
+        np.testing.assert_array_equal(got, basis_rows(make_config(3, 7), 6, ts))
+        want = np.array([_classical.bernstein_row(6, s) for s in wr])
         np.testing.assert_allclose(got, want, atol=1e-13)
 
     def test_decasteljau_batch_matches_direct(self):
@@ -29,7 +22,7 @@ class TestNumpyVariants:
         control = rng.uniform(-5, 5, size=(5, 3))
         wl = rng.uniform(0, 1, size=20)
         wr = 1.0 - wl
-        out = _kernels.decasteljau_batch_numpy(control, wl, wr)
+        out = _kernels.decasteljau_batch(control, wl, wr)
         for s in range(20):
             work = control.copy()
             for r in range(1, 5):
@@ -41,83 +34,9 @@ class TestNumpyVariants:
         net = rng.uniform(-2, 2, size=(4, 3, 3))
         rows_u = rng.uniform(size=(6, 4))
         rows_v = rng.uniform(size=(5, 3))
-        got = _kernels.patch_grid_numpy(net, rows_u, rows_v)
+        got = _kernels.patch_grid(net, rows_u, rows_v)
         want = np.einsum("ui,ijc,vj->uvc", rows_u, net, rows_v)
         np.testing.assert_allclose(got, want, atol=1e-13)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba disabled or unavailable")
-class TestJitVariants:
-    """Both code paths must agree bit-for-bit where the math is identical and
-    to rounding error where the summation order differs."""
-
-    def test_basis_rows_agree(self):
-        ts, lo, hi, binom = _basis_args()
-        a = _kernels.basis_rows_batch_jit(ts, lo, hi, binom)
-        b = _kernels.basis_rows_batch_numpy(ts, lo, hi, binom)
-        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-16)
-
-    def test_decasteljau_agree(self):
-        rng = np.random.default_rng(5)
-        control = rng.uniform(-5, 5, size=(7, 2))
-        wl = rng.uniform(0, 1, size=33)
-        wr = 1.0 - wl
-        a = _kernels.decasteljau_batch_jit(control, wl, wr)
-        b = _kernels.decasteljau_batch_numpy(control, wl, wr)
-        np.testing.assert_allclose(a, b, atol=1e-13)
-
-    def test_patch_grid_agree(self):
-        rng = np.random.default_rng(6)
-        net = rng.uniform(-2, 2, size=(5, 4, 3))
-        rows_u = rng.uniform(size=(9, 5))
-        rows_v = rng.uniform(size=(8, 4))
-        a = _kernels.patch_grid_jit(net, rows_u, rows_v)
-        b = _kernels.patch_grid_numpy(net, rows_u, rows_v)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_selected_kernels_are_jitted(self):
-        if os.environ.get("SHIFTKNOT_DISABLE_NUMBA", "").strip().lower() in {
-            "1",
-            "true",
-            "yes",
-            "on",
-        }:
-            pytest.skip("flag set in this process")
-        assert _kernels.basis_rows_batch is _kernels.basis_rows_batch_jit
-
-
-class TestEnvFlag:
-    def test_disable_flag_selects_numpy_path(self):
-        code = (
-            "from shiftknot import _kernels\n"
-            "assert not _kernels.NUMBA_ENABLED\n"
-            "assert _kernels.basis_rows_batch is _kernels.basis_rows_batch_numpy\n"
-            "assert _kernels.basis_rows_batch_jit is None\n"
-            "import shiftknot, numpy as np\n"
-            "cfg = shiftknot.make_config(4, 6)\n"
-            "row = shiftknot.basis_row(cfg, 3, 0.6)\n"
-            "assert abs(row.sum() - 1.0) < 1e-12\n"
-            "print('ok')\n"
-        )
-        env = dict(os.environ, SHIFTKNOT_DISABLE_NUMBA="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    @pytest.mark.parametrize("value", ["true", "YES", " on "])
-    def test_flag_value_spellings(self, value):
-        code = "from shiftknot import _kernels; print(_kernels.NUMBA_ENABLED)"
-        env = dict(os.environ, SHIFTKNOT_DISABLE_NUMBA=value)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-    def test_warmup_runs_selected_path(self):
-        _kernels.warmup()
 
 
 class TestScalarBatchConsistency:

@@ -54,6 +54,11 @@ class TestPatchContainer:
         with pytest.raises(ValueError):
             p.net[0, 0, 0] = 1.0
 
+    def test_oversized_integer_rejected(self):
+        net = [[[0.0, 0.0, 10**400], [0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1.0, 2.0]]]
+        with pytest.raises(ConstraintError):
+            SurfacePatch(make_config(0, 0), net)
+
     def test_flat_net_rejected(self):
         with pytest.raises(ConstraintError):
             SurfacePatch(make_config(0, 0), np.zeros((2, 2)))
