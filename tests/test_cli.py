@@ -4,16 +4,21 @@ Each invocation is a real subprocess so exit codes, stdout/stderr split and
 byte determinism are tested exactly as a shell user sees them.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shiftknot import Curve, SurfacePatch, make_config, save_curve, save_patch
+from shiftknot import cli
 
 
 def run_cli(*argv, expect=0):
@@ -265,3 +270,150 @@ class TestArgumentErrors:
             "--output", "/nonexistent-dir/out.csv", expect=2,
         )
         assert "error" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: SHA-256 of stdout plus the exit status for a fixed matrix of
+# invocations, pinned in tests/fixtures/cli_golden.json. Rewrite the fixture
+# from the CLI as it stands with ``PYTHONPATH=src python tests/test_cli.py``.
+
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "cli_golden.json"
+
+# Input files as literal text, so they do not depend on the writer under test.
+# Degrees stay at or below 12.
+_HELIX = ", ".join(f"[{k}, {(k * k) % 7 - 3.25!r}, {0.1 * k!r}]" for k in range(13))
+GOLDEN_FILES = {
+    "line.json": '{"alpha": 0, "beta": 0, "degree": 2, "control": [[0], [-0.0], [1.5]]}',
+    "parabola.json": (
+        '{"alpha": 4, "beta": 6, "degree": 3, "control": [[0, -0.0], [1, 1], [2, 4], [3, 9]]}'
+    ),
+    "helix.json": f'{{"alpha": 1e8, "beta": 1e9, "degree": 12, "control": [{_HELIX}]}}',
+    "quad4.json": '{"alpha": 1, "beta": 2, "degree": 1, "control": [[0, 0, 0, 0], [1, 1, 1, 1]]}',
+    "patch3.json": (
+        '{"alpha": 4, "beta": 6, "degrees": [2, 1], "control": ['
+        "[[0, 0, 0], [0, 1, -0.0]], [[1, 0, 0.5], [1, 1, 2]], [[2, 0, 1], [2, 1, -1]]]}"
+    ),
+    "patch2.json": (
+        '{"alpha": 0, "beta": 0, "degrees": [1, 1], "control": '
+        "[[[0, 0], [0, 1]], [[1, 0], [1.25, 1.5]]]}"
+    ),
+    "patch1.json": (
+        '{"alpha": 1e8, "beta": 1e9, "degrees": [1, 2], "control": '
+        "[[[0], [1], [2]], [[3], [4], [5.5]]]}"
+    ),
+    "bad.json": '{"alpha": 0',
+}
+
+
+def _golden_matrix() -> list[list[str]]:
+    cases = []
+    for alpha, beta in (("0", "0"), ("4", "6"), ("1e8", "1e9")):
+        for degree in ("1", "3", "12"):
+            for fmt in ("csv", "json", "svg"):
+                cases.append(["basis", "--alpha", alpha, "--beta", beta, "--degree", degree,
+                              "--samples", "9", "--format", fmt])
+    basis = ["basis", "--alpha", "4", "--beta", "6", "--degree", "3", "--samples", "5"]
+    cases += [
+        [*basis, "--range", "0.5", "0.7"],
+        [*basis, "--range", "0", "1", "--clamp", "--format", "json"],
+        [*basis, "--range", "0", "1", "--clamp", "--format", "svg"],
+        [*basis, "--range", "0", "1"],
+        [*basis, "--range", "0.7", "0.5"],
+        ["basis", "--alpha", "6", "--beta", "4", "--degree", "3"],
+        ["basis", "--alpha", "0", "--beta", "0", "--degree", "65"],
+        [*basis[:7], "--samples", "1"],
+        [*basis, "--format", "yaml"],
+    ]
+    inside = {"line.json": "0.25", "parabola.json": "0.6", "helix.json": "0.1"}
+    for name, t in inside.items():
+        for algorithm in ("direct", "decasteljau", "matrix"):
+            cases.append(["curve-eval", name, t, "--algorithm", algorithm])
+            for fmt in ("csv", "json", "svg"):
+                cases.append(["curve-sample", name, "--samples", "9", "--algorithm", algorithm,
+                              "--format", fmt])
+    cases += [
+        ["elevate", "line.json"],
+        ["elevate", "parabola.json", "--levels", "3"],
+        ["curve-eval", "parabola.json", "0.2"],
+        ["curve-eval", "parabola.json", "0.2", "--clamp"],
+        ["curve-eval", "parabola.json", "0.9", "--clamp", "--algorithm", "matrix"],
+        ["curve-sample", "parabola.json", "--samples", "5", "--range", "0.5", "0.7"],
+        ["curve-sample", "parabola.json", "--samples", "5", "--range", "0", "1", "--clamp",
+         "--format", "json"],
+        ["curve-sample", "parabola.json", "--samples", "5", "--range", "0", "1"],
+        ["curve-sample", "parabola.json", "--samples", "1"],
+        ["curve-sample", "quad4.json"],
+        ["curve-eval", "quad4.json", "0.5"],
+        ["elevate", "helix.json", "--levels", "53"],
+    ]
+    for name in ("patch3.json", "patch2.json", "patch1.json"):
+        for fmt in ("csv", "json", "svg"):
+            cases.append(["surface-sample", name, "--samples", "5", "--format", fmt])
+    cases += [
+        ["surface-sample", "patch3.json", "--samples", "4", "--format", "svg", "--drop-axis", "x"],
+        ["surface-sample", "patch3.json", "--samples", "4", "--format", "svg", "--drop-axis", "y"],
+        ["surface-sample", "parabola.json"],
+        ["surface-sample", "bad.json"],
+        ["curve-sample", "bad.json"],
+        ["curve-eval", "bad.json", "0.5"],
+        ["curve-eval", "missing.json", "0.5"],
+    ]
+    return cases
+
+
+GOLDEN_MATRIX = _golden_matrix()
+
+
+def _golden_digest(argv) -> list:
+    """``[sha256 of stdout, exit status]`` of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code]
+
+
+def _write_golden_files(directory: Path) -> None:
+    for name, text in GOLDEN_FILES.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    _write_golden_files(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestGoldenBytes:
+    def test_fixture_covers_the_matrix(self, golden):
+        assert sorted(golden) == sorted(" ".join(argv) for argv in GOLDEN_MATRIX)
+
+    @pytest.mark.parametrize("argv", GOLDEN_MATRIX, ids=" ".join)
+    def test_stdout_and_status(self, argv, golden, golden_dir, monkeypatch):
+        monkeypatch.chdir(golden_dir)
+        assert _golden_digest(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_golden_files(Path(tmp))
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            digests = {" ".join(argv): _golden_digest(argv) for argv in GOLDEN_MATRIX}
+        finally:
+            os.chdir(here)
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} cases to {GOLDEN_PATH}")
