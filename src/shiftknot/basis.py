@@ -38,8 +38,9 @@ __all__ = [
     "basis_derivative",
 ]
 
-# The float binomial recurrence stays accurate up to here; higher degrees
-# are rejected rather than silently degraded.
+# Highest supported degree; higher degrees are rejected rather than silently
+# degraded. binomial_row rounds the exact integers at any degree, so the cap
+# is set by the float evaluation routes, not by the binomials.
 MAX_DEGREE = 64
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -202,18 +203,11 @@ def _as_index(idx) -> BasisIndex:
 
 @functools.lru_cache(maxsize=None)
 def binomial_row(n: int) -> np.ndarray:
-    """Binomial coefficients C(n, 0..n) via the multiplicative recurrence.
-
-    Float arithmetic only. Exact through degree 52 (the largest central
-    coefficient still below 2**53); through the supported maximum of 64 the
-    entries stay within a few units in the last place.
-    """
+    """Binomial coefficients C(n, 0..n), each the float nearest the exact
+    integer, so the end entries are exactly 1 at every degree."""
     if n < 0:
         raise ConstraintError(f"binomial row needs a nonnegative degree, got {n}")
-    row = np.empty(n + 1)
-    row[0] = 1.0
-    for k in range(1, n + 1):
-        row[k] = row[k - 1] * (n - k + 1) / k
+    row = np.array([float(math.comb(n, k)) for k in range(n + 1)])
     row.setflags(write=False)
     return row
 

@@ -26,7 +26,14 @@ from .curve import (
     sample_curve,
 )
 from .errors import ConstraintError, DomainError, GeometryError
-from .files import FileFormatError, curve_to_json, format_float, load_curve, load_patch
+from .files import (
+    FLOAT_SPEC,
+    FileFormatError,
+    curve_to_json,
+    format_float,
+    load_curve,
+    load_patch,
+)
 from .surface import sample_patch
 
 _PALETTE = (
@@ -41,8 +48,6 @@ _PALETTE = (
     "#bcbd22",
     "#17becf",
 )
-
-_fmt = format_float
 
 
 def _coord_names(dim: int) -> list[str]:
@@ -69,13 +74,29 @@ def _sample_grid(dom, samples: int, range_pair, clamp: bool) -> np.ndarray:
     return np.linspace(lo, hi, samples)
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(str(c) if isinstance(c, (int, np.integer)) else _fmt(c) for c in row)
-        )
-    return "\n".join(lines) + "\n"
+def _json_value(value) -> str:
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(format_float, value)) + "]"
+    return str(value) if isinstance(value, int) else format_float(value)
+
+
+def _table(fmt: str, fields, columns, meta=()) -> str:
+    """One row per entry of the equal-length 1-D ``columns``, each value
+    written by the printf spec that ``fields`` pairs with its column name.
+
+    CSV is a header line then the rows; JSON is an object holding the
+    ``meta`` (name, value) entries, then the rows as ``"samples"``.
+    """
+    if fmt == "csv":
+        head = ",".join(name for name, _ in fields) + "\n"
+        row = ",".join(spec for _, spec in fields)
+        sep, tail = "\n", "\n"
+    else:
+        head = "{\n" + "".join(f' "{k}": {_json_value(v)},\n' for k, v in meta)
+        head += ' "samples": [\n  '
+        row = "{" + ", ".join(f'"{name}": {spec}' for name, spec in fields) + "}"
+        sep, tail = ",\n  ", "\n ]\n}\n"
+    return head + sep.join(row % r for r in zip(*(c.tolist() for c in columns))) + tail
 
 
 def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
@@ -138,28 +159,17 @@ def cmd_basis(args) -> str:
     ts = _sample_grid(dom, args.samples, args.range, args.clamp)
     rows = basis_rows(config, args.degree, ts, clamp=True)
     count = args.degree + 1
-    if args.format == "csv":
-        body = ((ts[i], k, rows[i, k]) for i in range(len(ts)) for k in range(count))
-        return _csv("t,k,value", body)
-    if args.format == "json":
-        samples = ",\n  ".join(
-            f'{{"t": {_fmt(ts[i])}, "k": {k}, "value": {_fmt(rows[i, k])}}}'
-            for i in range(len(ts))
-            for k in range(count)
-        )
-        return (
-            "{\n"
-            f' "alpha": {_fmt(config.alpha)},\n'
-            f' "beta": {_fmt(config.beta)},\n'
-            f' "degree": {args.degree},\n'
-            f' "domain": [{_fmt(dom.lo)}, {_fmt(dom.hi)}],\n'
-            ' "samples": [\n  ' + samples + "\n ]\n}\n"
-        )
+    if args.format != "svg":
+        fields = [("t", FLOAT_SPEC), ("k", "%d"), ("value", FLOAT_SPEC)]
+        columns = (np.repeat(ts, count), np.tile(np.arange(count), len(ts)), rows.ravel())
+        meta = [("alpha", config.alpha), ("beta", config.beta), ("degree", args.degree),
+                ("domain", (dom.lo, dom.hi))]
+        return _table(args.format, fields, columns, meta)
     series = [
         (list(zip(ts, rows[:, k])), _PALETTE[k % len(_PALETTE)]) for k in range(count)
     ]
     bbox = (float(ts[0]), float(ts[-1]), min(0.0, float(rows.min())), max(1.0, float(rows.max())))
-    attrs = f' data-domain="{_fmt(dom.lo)} {_fmt(dom.hi)}"'
+    attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
     annotations = [(dom.lo, format(dom.lo, ".6g")), (dom.hi, format(dom.hi, ".6g"))]
     return _svg_render(series, bbox, annotations=annotations, attrs=attrs)
 
@@ -175,8 +185,9 @@ def cmd_curve_eval(args) -> str:
     curve = load_curve(args.file)
     _coord_names(curve.dimension)
     point = _EVALUATORS[args.algorithm](curve, args.t, clamp=args.clamp)
-    coords = ", ".join(_fmt(c) for c in point)
-    return f'{{"t": {_fmt(args.t)}, "algorithm": "{args.algorithm}", "point": [{coords}]}}\n'
+    coords = ", ".join(format_float(c) for c in point)
+    t = format_float(args.t)
+    return f'{{"t": {t}, "algorithm": "{args.algorithm}", "point": [{coords}]}}\n'
 
 
 def cmd_curve_sample(args) -> str:
@@ -185,22 +196,9 @@ def cmd_curve_sample(args) -> str:
     dom = curve.domain
     ts = _sample_grid(dom, args.samples, args.range, args.clamp)
     points = sample_curve(curve, ts, algorithm=args.algorithm, clamp=True)
-    if args.format == "csv":
-        body = ((ts[i], *points[i]) for i in range(len(ts)))
-        return _csv("t," + ",".join(names), body)
-    if args.format == "json":
-        samples = ",\n  ".join(
-            "{"
-            + f'"t": {_fmt(ts[i])}, '
-            + ", ".join(f'"{names[c]}": {_fmt(points[i, c])}' for c in range(len(names)))
-            + "}"
-            for i in range(len(ts))
-        )
-        return (
-            "{\n"
-            f' "domain": [{_fmt(dom.lo)}, {_fmt(dom.hi)}],\n'
-            ' "samples": [\n  ' + samples + "\n ]\n}\n"
-        )
+    if args.format != "svg":
+        fields = [(name, FLOAT_SPEC) for name in ("t", *names)]
+        return _table(args.format, fields, (ts, *points.T), [("domain", (dom.lo, dom.hi))])
     if curve.dimension == 1:
         pts = list(zip(ts, points[:, 0]))
         bbox = (
@@ -218,7 +216,7 @@ def cmd_curve_sample(args) -> str:
             float(ctrl[:, 1].min()),
             float(ctrl[:, 1].max()),
         )
-    attrs = f' data-domain="{_fmt(dom.lo)} {_fmt(dom.hi)}"'
+    attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
     return _svg_render([(pts, _PALETTE[0])], bbox, attrs=attrs)
 
 
@@ -234,28 +232,12 @@ def cmd_surface_sample(args) -> str:
     us = _sample_grid(dom_u, args.samples, None, False)
     vs = _sample_grid(dom_v, args.samples, None, False)
     grid = sample_patch(patch, us, vs, clamp=True)
-    if args.format == "csv":
-        body = (
-            (us[i], vs[j], *grid[i, j])
-            for i in range(len(us))
-            for j in range(len(vs))
-        )
-        return _csv("u,v," + ",".join(names), body)
-    if args.format == "json":
-        samples = ",\n  ".join(
-            "{"
-            + f'"u": {_fmt(us[i])}, "v": {_fmt(vs[j])}, '
-            + ", ".join(f'"{names[c]}": {_fmt(grid[i, j, c])}' for c in range(len(names)))
-            + "}"
-            for i in range(len(us))
-            for j in range(len(vs))
-        )
-        return (
-            "{\n"
-            f' "domain_u": [{_fmt(dom_u.lo)}, {_fmt(dom_u.hi)}],\n'
-            f' "domain_v": [{_fmt(dom_v.lo)}, {_fmt(dom_v.hi)}],\n'
-            ' "samples": [\n  ' + samples + "\n ]\n}\n"
-        )
+    if args.format != "svg":
+        columns = (np.repeat(us, len(vs)), np.tile(vs, len(us)),
+                   *grid.reshape(-1, patch.dimension).T)
+        fields = [(name, FLOAT_SPEC) for name in ("u", "v", *names)]
+        meta = [("domain_u", (dom_u.lo, dom_u.hi)), ("domain_v", (dom_v.lo, dom_v.hi))]
+        return _table(args.format, fields, columns, meta)
     if patch.dimension < 2:
         raise ConstraintError("SVG wireframes need 2 or 3 coordinates")
     if patch.dimension == 2:
@@ -276,8 +258,8 @@ def cmd_surface_sample(args) -> str:
         float(flat[:, keep[1]].max()),
     )
     attrs = (
-        f' data-domain-u="{_fmt(dom_u.lo)} {_fmt(dom_u.hi)}"'
-        f' data-domain-v="{_fmt(dom_v.lo)} {_fmt(dom_v.hi)}"'
+        f' data-domain-u="{format_float(dom_u.lo)} {format_float(dom_u.hi)}"'
+        f' data-domain-v="{format_float(dom_v.lo)} {format_float(dom_v.hi)}"'
     )
     return _svg_render(series, bbox, attrs=attrs)
 
@@ -322,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve-sample", help="sample a curve file over its domain")
     p.add_argument("file", help="curve JSON file")
-    p.add_argument("--algorithm", choices=("direct", "decasteljau", "matrix"), default="direct")
+    p.add_argument("--algorithm", choices=tuple(_EVALUATORS), default="direct")
     _add_format(p, default_samples=200)
     p.set_defaults(func=cmd_curve_sample)
 

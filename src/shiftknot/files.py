@@ -30,13 +30,17 @@ __all__ = [
 ]
 
 
+# printf spec of every written float: 17 significant digits round-trip a double
+FLOAT_SPEC = "%.17g"
+
+
 class FileFormatError(ValueError):
     """The file is not valid JSON or does not match the expected schema."""
 
 
 def format_float(x: float) -> str:
     """Decimal form with 17 significant digits; round-trips exactly."""
-    return format(float(x), ".17g")
+    return FLOAT_SPEC % float(x)
 
 
 def _points_json(points) -> str:
@@ -73,6 +77,8 @@ def _load_dict(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError("not valid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise FileFormatError("top-level JSON value must be an object")
     return data
@@ -131,12 +137,19 @@ def parse_patch(text: str) -> SurfacePatch:
     return SurfacePatch(make_config(alpha, beta), control)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not a UTF-8 JSON file: {exc}") from exc
+
+
 def load_curve(path) -> Curve:
-    return parse_curve(Path(path).read_text(encoding="utf-8"))
+    return parse_curve(_read_text(path))
 
 
 def load_patch(path) -> SurfacePatch:
-    return parse_patch(Path(path).read_text(encoding="utf-8"))
+    return parse_patch(_read_text(path))
 
 
 def save_curve(curve: Curve, path) -> None:

@@ -137,12 +137,14 @@ class TestBasisValue:
 
     @pytest.mark.parametrize("alpha,beta", [(4, 6), (1e3, 1e4), (1e8, 1e9)])
     def test_endpoints_interpolate_exactly(self, alpha, beta):
-        # through degree 52 the float binomials, and so the end values, are exact
+        # C(n, 0) and C(n, n) are exactly 1, and so are the end values
         cfg = make_config(alpha, beta)
-        for n in range(1, 53):
+        for n in range(1, MAX_DEGREE + 1):
             dom = domain(cfg, n)
             assert basis_value(cfg, (n, 0), dom.lo) == 1.0
             assert basis_value(cfg, (n, n), dom.hi) == 1.0
+            assert basis_row(cfg, n, dom.lo)[0] == 1.0
+            assert basis_row(cfg, n, dom.hi)[-1] == 1.0
 
     def test_wide_shift_at_max_degree_stays_finite(self):
         cfg = make_config(1e6, 1e7)
@@ -359,8 +361,9 @@ class TestBinomials:
         np.testing.assert_array_equal(binomial_row(4), [1, 4, 6, 4, 1])
         np.testing.assert_array_equal(binomial_row(12)[6], 924)
 
-    def test_rows_exact_through_degree_52(self):
-        for n in (20, 33, 48, 52):
+    def test_rows_exact_through_max_degree(self):
+        # each entry is the float nearest the exact integer
+        for n in range(MAX_DEGREE + 1):
             want = np.array([float(math.comb(n, k)) for k in range(n + 1)])
             np.testing.assert_array_equal(binomial_row(n), want)
 

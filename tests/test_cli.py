@@ -1,7 +1,8 @@
 """End-to-end command runs through ``python -m shiftknot``.
 
 Each invocation is a real subprocess so exit codes, stdout/stderr split and
-byte determinism are tested exactly as a shell user sees them.
+byte determinism are tested exactly as a shell user sees them. The golden
+byte matrix at the end calls ``cli.main`` in-process, for speed.
 """
 
 import contextlib
@@ -173,10 +174,20 @@ class TestCurveCommands:
         proc = run_cli("curve-eval", "/nonexistent/f.json", "0.5", expect=2)
         assert "error" in proc.stderr
 
-    def test_malformed_file_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("command", ["curve-eval", "surface-sample"])
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"alpha": 0', b"\xff\xfe{}", b"[" * 200_000],
+        ids=["truncated", "not-utf8", "over-nested"],
+    )
+    def test_malformed_file_exits_two(self, tmp_path, content, command):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"alpha": 0')
-        proc = run_cli("curve-eval", str(bad), "0.5", expect=2)
+        bad.write_bytes(content)
+        t = ["0.5"] if command == "curve-eval" else []
+        proc = run_cli(command, str(bad), *t, expect=2)
+        assert proc.stderr.startswith("shiftknot: error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
         assert "JSON" in proc.stderr
 
 
