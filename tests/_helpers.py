@@ -3,7 +3,10 @@
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from shiftknot import Curve, SurfacePatch, make_config
+from shiftknot import MAX_DEGREE, Curve, SurfacePatch, make_config
+
+# Shift pairs of the bit-pinning tests, from classical to the float64 edge.
+PIN_SHIFTS = [(0.0, 0.0), (4.0, 6.0), (1e3, 1e4), (1e8, 1e9)]
 
 
 def random_config(rng, beta_max=20.0):
@@ -29,6 +32,26 @@ def random_patch(rng, m=None, n=None, dim=3, config=None, span=10.0):
     if n is None:
         n = int(rng.integers(1, 7))
     return SurfacePatch(config, rng.uniform(-span, span, size=(m + 1, n + 1, dim)))
+
+
+def pinned_curves(alpha, beta, dim, seed=0):
+    """One random curve per degree 1..MAX_DEGREE with its parameters: seven
+    evenly spaced ones, both domain ends exactly, and five random ones."""
+    rng = np.random.default_rng(seed)
+    config = make_config(alpha, beta)
+    for n in range(1, MAX_DEGREE + 1):
+        curve = random_curve(rng, degree=n, dim=dim, config=config)
+        dom = curve.domain
+        inner = np.clip(dom.lo + rng.uniform(size=5) * dom.width, dom.lo, dom.hi)
+        yield curve, np.concatenate([dom.grid(7), inner])
+
+
+def assert_bits_equal(got, want, what=""):
+    """Same shape and the same float64 bit patterns, so -0.0 != 0.0."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype == np.float64, what
+    assert got.shape == want.shape, what
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), what
 
 
 def hull_contains(points, query, slack=1e-9):

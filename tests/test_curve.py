@@ -21,8 +21,11 @@ from shiftknot import (
 
 import _classical
 from _helpers import (
+    PIN_SHIFTS,
     angle_between,
+    assert_bits_equal,
     hull_contains,
+    pinned_curves,
     polygon_to_samples_distance,
     random_curve,
 )
@@ -155,6 +158,28 @@ class TestEvaluation:
                 assert hull_contains(c.control, p, slack=1e-9)
             checked += 1
         assert checked >= 20
+
+
+class TestMatrixRoutePins:
+    """The matrix sampler returns, bit for bit, what the single-point
+    step-matrix route returns at each of its parameters."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_sampler_matches_point_loop(self, shift, dim):
+        for curve, ts in pinned_curves(*shift, dim):
+            got = sample_curve(curve, ts, algorithm="matrix")
+            want = np.array([eval_matrix_form(curve, t) for t in ts])
+            assert_bits_equal(got, want, f"degree {curve.degree}")
+
+    @pytest.mark.parametrize("degree", [5, 40])
+    def test_sampler_matches_point_loop_over_many_samples(self, degree):
+        rng = np.random.default_rng(degree)
+        c = random_curve(rng, degree=degree, dim=3, config=make_config(4, 6))
+        ts = np.sort(c.domain.lo + rng.uniform(size=600) * c.domain.width)
+        got = sample_curve(c, ts, algorithm="matrix", clamp=True)
+        want = np.array([eval_matrix_form(c, t, clamp=True) for t in ts])
+        assert_bits_equal(got, want)
 
 
 class TestTriangle:

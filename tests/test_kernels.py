@@ -1,9 +1,18 @@
 import numpy as np
+import pytest
 
 from shiftknot import _kernels
-from shiftknot import basis_row, basis_rows, binomial_row, domain, make_config
+from shiftknot import (
+    basis_row,
+    basis_rows,
+    binomial_row,
+    decasteljau_triangle,
+    domain,
+    make_config,
+)
 
 import _classical
+from _helpers import PIN_SHIFTS, assert_bits_equal, pinned_curves
 
 
 class TestNumpyVariants:
@@ -28,6 +37,15 @@ class TestNumpyVariants:
             for r in range(1, 5):
                 work = wl[s] * work[: 5 - r] + wr[s] * work[1 : 6 - r]
             np.testing.assert_allclose(out[s], work[0], atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_decasteljau_batch_pins_triangle_apex(self, shift, dim):
+        # bit for bit, at every degree up to MAX_DEGREE
+        for curve, ts in pinned_curves(*shift, dim):
+            got = _kernels.decasteljau_batch(curve.control, *curve.domain.weights(ts))
+            want = np.array([decasteljau_triangle(curve, t).apex for t in ts])
+            assert_bits_equal(got, want, f"degree {curve.degree}")
 
     def test_patch_grid_matches_einsum(self):
         rng = np.random.default_rng(3)
