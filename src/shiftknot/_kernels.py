@@ -29,16 +29,23 @@ def decasteljau_batch(control, wl, wr):
     """Pyramid collapse of one control polygon at many parameters.
 
     ``wl``/``wr`` are the per-sample left/right convex weights; they stay
-    constant across pyramid levels.
+    constant across pyramid levels. Returns shape ``(len(wl), dim)``.
+
+    The levels are updated in place in a ``(rows, dim, samples)`` buffer,
+    so each weight runs along contiguous memory; every level computes
+    ``(wl * left) + (wr * right)``, the same float operations as
+    :func:`shiftknot.curve.decasteljau_triangle`.
     """
-    rows = control.shape[0]
-    work = np.repeat(control[None, :, :], wl.shape[0], axis=0)
-    wl3 = wl[:, None, None]
-    wr3 = wr[:, None, None]
-    for r in range(1, rows):
-        m = rows - r
-        work = wl3 * work[:, :m] + wr3 * work[:, 1 : m + 1]
-    return work[:, 0]
+    rows, dim = control.shape
+    work = np.empty((rows, dim, wl.shape[0]))
+    work[...] = control[:, :, None]
+    right = np.empty((rows - 1, dim, wl.shape[0]))
+    for m in range(rows - 1, 0, -1):
+        left, scaled = work[:m], right[:m]
+        np.multiply(wr, work[1 : m + 1], out=scaled)
+        np.multiply(wl, left, out=left)
+        np.add(left, scaled, out=left)
+    return np.ascontiguousarray(work[0].T)
 
 
 def patch_grid(net, rows_u, rows_v):

@@ -9,6 +9,7 @@ plus degree elevation and endpoint derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,11 @@ __all__ = [
 ]
 
 Point = np.ndarray
+
+# Samples per batched step-matrix product in sample_curve(algorithm="matrix").
+# At MAX_DEGREE one stack of step matrices then takes 256 * 64 * 65 * 8 bytes,
+# about 8.5 MB, whatever the sample count.
+_MATRIX_CHUNK = 256
 
 
 def _freeze_points(points, *, ndim: int, what: str) -> np.ndarray:
@@ -91,7 +97,7 @@ class Curve:
     def dimension(self) -> int:
         return self.control.shape[1]
 
-    @property
+    @cached_property
     def domain(self) -> DomainInterval:
         return domain(self.config, self.degree)
 
@@ -116,11 +122,8 @@ def eval_matrix_form(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarr
     checkable against :func:`step_matrix`.
     """
     dom = curve.domain
-    wl, wr = dom.weights(dom.admit(t, clamp))
-    vec = curve.control
-    for r in range(1, curve.degree + 1):
-        vec = _band_matrix(curve.degree - r + 1, wl, wr) @ vec
-    return vec[0]
+    wl, wr = dom.weights(np.array([[dom.admit(t, clamp)]]))
+    return _step_products(curve.control, wl, wr)[0]
 
 
 def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = False) -> np.ndarray:
@@ -133,7 +136,12 @@ def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = F
     if algorithm == "decasteljau":
         return _kernels.decasteljau_batch(curve.control, *dom.weights(ts))
     if algorithm == "matrix":
-        return np.array([eval_matrix_form(curve, float(t)) for t in ts])
+        wl, wr = dom.weights(ts[:, None])
+        out = np.empty((ts.shape[0], curve.dimension))
+        for lo in range(0, ts.shape[0], _MATRIX_CHUNK):
+            hi = lo + _MATRIX_CHUNK
+            out[lo:hi] = _step_products(curve.control, wl[lo:hi], wr[lo:hi])
+        return out
     raise ConstraintError(f"unknown algorithm {algorithm!r}")
 
 
@@ -166,12 +174,27 @@ def decasteljau_triangle(curve: Curve, t: float, *, clamp: bool = False) -> DeCa
     return DeCasteljauTriangle(tuple(levels))
 
 
-def _band_matrix(rows: int, wl: float, wr: float) -> np.ndarray:
-    mat = np.zeros((rows, rows + 1))
-    idx = np.arange(rows)
-    mat[idx, idx] = wl
-    mat[idx, idx + 1] = wr
-    return mat
+def _band_matrices(rows: int, wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """One step matrix per sample, shape ``(len(wl), rows, rows + 1)``.
+
+    ``wl``/``wr`` are columns of shape ``(samples, 1)``. Row i of each
+    matrix holds ``wl`` at column i and ``wr`` at column i + 1; in the
+    flattened matrix those are every ``(rows + 2)``-th entry from 0 and 1.
+    """
+    mats = np.zeros((wl.shape[0], rows, rows + 1))
+    flat = mats.reshape(wl.shape[0], -1)
+    flat[:, 0 :: rows + 2] = wl
+    flat[:, 1 :: rows + 2] = wr
+    return mats
+
+
+def _step_products(control: np.ndarray, wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """Apply all step matrices to the control polygon for every sample;
+    weights are columns as in :func:`_band_matrices`. Shape ``(samples, dim)``."""
+    vec = control
+    for rows in range(control.shape[0] - 1, 0, -1):
+        vec = _band_matrices(rows, wl, wr) @ vec
+    return vec[:, 0]
 
 
 def step_matrix(
@@ -184,8 +207,8 @@ def step_matrix(
     """
     dom = domain(config, n)
     r = _check_int(r, 1, dom.degree, "step index", IndexError)
-    wl, wr = dom.weights(dom.admit(t, clamp))
-    return _band_matrix(dom.degree - r + 1, wl, wr)
+    wl, wr = dom.weights(np.array([[dom.admit(t, clamp)]]))
+    return _band_matrices(dom.degree - r + 1, wl, wr)[0]
 
 
 def elevation_matrix(n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ degree-n interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +56,11 @@ class SurfacePatch:
     def dimension(self) -> int:
         return self.net.shape[2]
 
-    @property
+    @cached_property
     def domain_u(self) -> DomainInterval:
         return domain(self.config, self.net.shape[0] - 1)
 
-    @property
+    @cached_property
     def domain_v(self) -> DomainInterval:
         return domain(self.config, self.net.shape[1] - 1)
 

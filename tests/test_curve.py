@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from shiftknot import _kernels
 from shiftknot import (
+    MAX_DEGREE,
     ConstraintError,
     Curve,
     DomainError,
@@ -44,6 +48,17 @@ class TestCurveContainer:
         assert c.dimension == 2
         assert c.domain.lo == pytest.approx(4 / 9)
         assert c.domain.hi == pytest.approx(7 / 9)
+
+    def test_domain_is_built_once(self):
+        c = parabola_curve()
+        assert c.domain is c.domain
+
+    def test_degenerate_domain_raises_on_every_use(self):
+        # alpha = beta = 1e17 puts both domain ends on 1.0 in float
+        c = Curve(make_config(1e17, 1e17), PARABOLA)
+        for _ in range(2):
+            with pytest.raises(ConstraintError):
+                c.domain
 
     def test_control_net_is_frozen(self):
         c = parabola_curve()
@@ -127,6 +142,44 @@ class TestEvaluation:
         assert direct.shape == (9, 2)
         np.testing.assert_allclose(direct, casteljau, atol=1e-12)
         np.testing.assert_allclose(direct, matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("algorithm", ["direct", "decasteljau", "matrix"])
+    def test_sample_curve_shape(self, algorithm, count, dim):
+        c = Curve(make_config(4, 6), np.arange(4.0 * dim).reshape(4, dim))
+        ts = np.linspace(c.domain.lo, c.domain.hi, count)
+        assert sample_curve(c, ts, algorithm=algorithm).shape == (count, dim)
+
+    def test_matrix_route_memory_is_bounded(self):
+        # unchunked, the degree-64 step-matrix stack alone would take ~165 MB
+        rng = np.random.default_rng(64)
+        c = random_curve(rng, degree=MAX_DEGREE, dim=3, config=make_config(4, 6))
+        ts = c.domain.grid(5000)
+        tracemalloc.start()
+        try:
+            got = sample_curve(c, ts, algorithm="matrix")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        np.testing.assert_allclose(got, sample_curve(c, ts, algorithm="direct"), atol=1e-10)
+
+    def test_pyramid_routes_call_the_kernel_once(self, monkeypatch):
+        # the benchmark's kernels.decasteljau_* spans count on one call per route call
+        calls = []
+        kernel = _kernels.decasteljau_batch
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "decasteljau_batch", counted)
+        c = parabola_curve()
+        eval_decasteljau(c, 0.6)
+        assert len(calls) == 1
+        sample_curve(c, c.domain.grid(9), algorithm="decasteljau")
+        assert len(calls) == 2
 
     def test_sample_curve_unknown_algorithm(self):
         with pytest.raises(ConstraintError):

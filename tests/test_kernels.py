@@ -38,6 +38,22 @@ class TestNumpyVariants:
                 work = wl[s] * work[: 5 - r] + wr[s] * work[1 : 6 - r]
             np.testing.assert_allclose(out[s], work[0], atol=1e-13)
 
+    def test_decasteljau_batch_leaves_read_only_inputs_alone(self):
+        rng = np.random.default_rng(4)
+        control = rng.uniform(-5, 5, size=(9, 3))
+        wl = rng.uniform(0, 1, size=50)
+        wr = 1.0 - wl
+        inputs = (control, wl, wr)
+        copies = [a.copy() for a in inputs]
+        want = _kernels.decasteljau_batch(*copies)
+        for a in inputs:
+            a.setflags(write=False)
+        got = _kernels.decasteljau_batch(*inputs)
+        assert_bits_equal(got, want)
+        for a, before in zip(inputs, copies):
+            assert_bits_equal(a, before)
+            assert not np.shares_memory(got, a)
+
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("shift", PIN_SHIFTS)
     def test_decasteljau_batch_pins_triangle_apex(self, shift, dim):

@@ -49,6 +49,11 @@ class TestPatchContainer:
         assert p.domain_u.lo == pytest.approx(4 / 9)
         assert p.domain_v.lo == pytest.approx(4 / 7)
 
+    def test_domains_are_built_once(self):
+        p = bilinear_patch()
+        assert p.domain_u is p.domain_u
+        assert p.domain_v is p.domain_v
+
     def test_net_is_frozen(self):
         p = bilinear_patch()
         with pytest.raises(ValueError):
