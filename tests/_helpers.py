@@ -1,9 +1,10 @@
 """Shared random factories and geometric checks for the test suite."""
 
 import numpy as np
+import pytest
 from scipy.spatial import ConvexHull
 
-from shiftknot import MAX_DEGREE, Curve, SurfacePatch, make_config
+from shiftknot import MAX_DEGREE, Curve, DomainError, SurfacePatch, make_config
 
 # Shift pairs of the bit-pinning tests, from classical to the float64 edge.
 PIN_SHIFTS = [(0.0, 0.0), (4.0, 6.0), (1e3, 1e4), (1e8, 1e9)]
@@ -44,6 +45,43 @@ def pinned_curves(alpha, beta, dim, seed=0):
         dom = curve.domain
         inner = np.clip(dom.lo + rng.uniform(size=5) * dom.width, dom.lo, dom.hi)
         yield curve, np.concatenate([dom.grid(7), inner])
+
+
+def pinned_patches(alpha, beta, dim, seed=0):
+    """One random patch per degree pair (m, 65 - m), m = 1..MAX_DEGREE."""
+    rng = np.random.default_rng(seed)
+    config = make_config(alpha, beta)
+    for m in range(1, MAX_DEGREE + 1):
+        yield random_patch(rng, m=m, n=MAX_DEGREE + 1 - m, dim=dim, config=config)
+
+
+def point_params(dom, seed=0):
+    """Parameters that pin a single-point route at one degree: seven evenly
+    spaced ones with both ends exact, five random ones, two 8 eps past the
+    ends (inside the admission slack), two a quarter width past them
+    (outside it), and -0.0 where the domain starts at zero."""
+    rng = np.random.default_rng(seed)
+    inner = np.clip(dom.lo + rng.uniform(size=5) * dom.width, dom.lo, dom.hi)
+    ulps = 8 * np.finfo(np.float64).eps * max(1.0, abs(dom.hi))
+    quarter = 0.25 * dom.width
+    edges = [dom.lo - ulps, dom.hi + ulps, dom.lo - quarter, dom.hi + quarter]
+    zero = [-0.0] if dom.lo == 0.0 else []
+    return [*dom.grid(7).tolist(), *inner.tolist(), *edges, *zero]
+
+
+def assert_pinned(route, reference, params, what=""):
+    """``route(*p, clamp=c)`` equals ``reference(*p, clamp=c)`` bit for bit
+    for every ``p`` in ``params`` and ``c`` in (False, True); where the
+    reference raises DomainError, so must the route."""
+    for p in params:
+        for clamp in (False, True):
+            try:
+                want = reference(*p, clamp=clamp)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    route(*p, clamp=clamp)
+                continue
+            assert_bits_equal(route(*p, clamp=clamp), want, f"{what} at {p!r}, clamp={clamp}")
 
 
 def assert_bits_equal(got, want, what=""):

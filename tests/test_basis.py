@@ -27,7 +27,7 @@ from shiftknot import (
 )
 
 import _classical
-from _helpers import random_config
+from _helpers import PIN_SHIFTS, assert_pinned, point_params, random_config
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -92,6 +92,15 @@ class TestDomain:
             dom = domain(cfg, int(rng.integers(1, 13)))
             assert dom.lo < dom.hi
             assert dom.lo >= 0.0
+
+    @pytest.mark.parametrize("first", [0.0, -0.0], ids=repr)
+    def test_zero_alpha_keeps_its_sign(self, first):
+        # make_config(-0.0, 0) == make_config(0.0, 0), yet the CLI prints
+        # "domain": [-0, 1] for the former, whichever was built first
+        for n in range(1, MAX_DEGREE + 1):
+            for alpha in (first, -first):
+                lo = domain(make_config(alpha, 0), n).lo
+                assert math.copysign(1.0, lo) == math.copysign(1.0, alpha), (n, alpha)
 
     def test_unit_maps_roundtrip(self):
         dom = domain(make_config(4, 6), 3)
@@ -200,6 +209,18 @@ class TestBasisRow:
         cfg = make_config(3, 11)
         rows = basis_rows(cfg, 40, domain(cfg, 40).grid(50))
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_row_pins_batch_row(self, shift):
+        # bit for bit, at every degree up to MAX_DEGREE
+        cfg = make_config(*shift)
+        for n in range(1, MAX_DEGREE + 1):
+            assert_pinned(
+                lambda t, clamp: basis_row(cfg, n, t, clamp=clamp),
+                lambda t, clamp: basis_rows(cfg, n, [t], clamp=clamp)[0],
+                [(t,) for t in point_params(domain(cfg, n), seed=n)],
+                f"degree {n}",
+            )
 
 
 class TestRecurrence:
@@ -450,3 +471,13 @@ def test_integer_argument_range(entry, value):
     else:
         with pytest.raises(error):
             call(value)
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=repr)
+@pytest.mark.parametrize("entry", list(INTEGER_ARGUMENTS))
+def test_integer_argument_range_after_warm_up(entry, value):
+    # True == 1 and 2.0 == 2 as cache keys, so a domain cached before its
+    # degree is checked would hand these the intervals built here
+    for n in (1, 2, 3, 64):
+        domain(_CFG, n)
+    test_integer_argument_range(entry, value)

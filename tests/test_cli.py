@@ -295,6 +295,9 @@ GOLDEN_PATH = Path(__file__).parent / "fixtures" / "cli_golden.json"
 _HELIX = ", ".join(f"[{k}, {(k * k) % 7 - 3.25!r}, {0.1 * k!r}]" for k in range(13))
 GOLDEN_FILES = {
     "line.json": '{"alpha": 0, "beta": 0, "degree": 2, "control": [[0], [-0.0], [1.5]]}',
+    "negzero.json": (
+        '{"alpha": -0.0, "beta": 0, "degree": 2, "control": [[0, 1], [-0.0, 2], [1.5, 0.5]]}'
+    ),
     "parabola.json": (
         '{"alpha": 4, "beta": 6, "degree": 3, "control": [[0, -0.0], [1, 1], [2, 4], [3, 9]]}'
     ),
@@ -323,6 +326,12 @@ def _golden_matrix() -> list[list[str]]:
             for fmt in ("csv", "json", "svg"):
                 cases.append(["basis", "--alpha", alpha, "--beta", beta, "--degree", degree,
                               "--samples", "9", "--format", fmt])
+        if alpha == "0":
+            # -0.0 after 0: a domain cached on the shift pair alone would
+            # hand these the +0.0 interval of the cases above
+            for fmt in ("csv", "json", "svg"):
+                cases.append(["basis", "--alpha", "-0.0", "--beta", "0", "--degree", "3",
+                              "--samples", "9", "--format", fmt])
     basis = ["basis", "--alpha", "4", "--beta", "6", "--degree", "3", "--samples", "5"]
     cases += [
         [*basis, "--range", "0.5", "0.7"],
@@ -342,6 +351,9 @@ def _golden_matrix() -> list[list[str]]:
             for fmt in ("csv", "json", "svg"):
                 cases.append(["curve-sample", name, "--samples", "9", "--algorithm", algorithm,
                               "--format", fmt])
+        if name == "line.json":
+            for fmt in ("csv", "json", "svg"):
+                cases.append(["curve-sample", "negzero.json", "--samples", "5", "--format", fmt])
     cases += [
         ["elevate", "line.json"],
         ["elevate", "parabola.json", "--levels", "3"],

@@ -9,6 +9,7 @@ from shiftknot import (
     ConstraintError,
     Curve,
     DomainError,
+    basis_rows,
     decasteljau_triangle,
     domain,
     elevate,
@@ -28,8 +29,10 @@ from _helpers import (
     PIN_SHIFTS,
     angle_between,
     assert_bits_equal,
+    assert_pinned,
     hull_contains,
     pinned_curves,
+    point_params,
     polygon_to_samples_distance,
     random_curve,
 )
@@ -233,6 +236,22 @@ class TestMatrixRoutePins:
         got = sample_curve(c, ts, algorithm="matrix", clamp=True)
         want = np.array([eval_matrix_form(c, t, clamp=True) for t in ts])
         assert_bits_equal(got, want)
+
+
+class TestDirectRoutePins:
+    """``eval_direct`` returns, bit for bit, the batch basis row at its
+    parameter contracted with the control polygon."""
+
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_point_matches_batch_row(self, shift):
+        for curve, _ in pinned_curves(*shift, 3):
+            cfg, n = curve.config, curve.degree
+            assert_pinned(
+                lambda t, clamp: eval_direct(curve, t, clamp=clamp),
+                lambda t, clamp: basis_rows(cfg, n, [t], clamp=clamp)[0] @ curve.control,
+                [(t,) for t in point_params(curve.domain, seed=n)],
+                f"degree {n}",
+            )
 
 
 class TestTriangle:

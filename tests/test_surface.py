@@ -7,6 +7,7 @@ from shiftknot import (
     DomainError,
     SurfacePatch,
     basis_row,
+    basis_rows,
     domain,
     elevate_patch,
     elevation_matrix,
@@ -20,7 +21,14 @@ from shiftknot import (
 )
 
 import _classical
-from _helpers import hull_contains, random_patch
+from _helpers import (
+    PIN_SHIFTS,
+    assert_pinned,
+    hull_contains,
+    pinned_patches,
+    point_params,
+    random_patch,
+)
 
 BILINEAR = np.array(
     [
@@ -209,6 +217,50 @@ class TestIsoparams:
                 np.testing.assert_allclose(
                     eval_decasteljau(line, u), eval_patch(p, u, v), atol=1e-12
                 )
+
+
+class TestPointRoutePins:
+    """``eval_patch`` and the isoparametric lines return, bit for bit, the
+    contraction of the net with batch basis rows at their parameters."""
+
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_eval_patch_matches_batch_rows(self, shift):
+        for p in pinned_patches(*shift, 3):
+            (m, n), cfg = p.degrees, p.config
+
+            def reference(u, v, clamp):
+                row_u = basis_rows(cfg, m, [u], clamp=clamp)[0]
+                row_v = basis_rows(cfg, n, [v], clamp=clamp)[0]
+                return np.einsum("i,ijc,j->c", row_u, p.net, row_v)
+
+            us, vs = point_params(p.domain_u, seed=m), point_params(p.domain_v, seed=n)
+            assert_pinned(
+                lambda u, v, clamp: eval_patch(p, u, v, clamp=clamp),
+                reference,
+                [*zip(us, vs), *zip(us, vs[::-1])],
+                f"degrees {(m, n)}",
+            )
+
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_isoparams_match_batch_rows(self, shift):
+        for p in pinned_patches(*shift, 3):
+            (m, n), cfg = p.degrees, p.config
+            assert_pinned(
+                lambda v, clamp: isoparam_u(p, v, clamp=clamp).control,
+                lambda v, clamp: np.einsum(
+                    "ijc,j->ic", p.net, basis_rows(cfg, n, [v], clamp=clamp)[0]
+                ),
+                [(v,) for v in point_params(p.domain_v, seed=n)],
+                f"isoparam_u, degrees {(m, n)}",
+            )
+            assert_pinned(
+                lambda u, clamp: isoparam_v(p, u, clamp=clamp).control,
+                lambda u, clamp: np.einsum(
+                    "ijc,i->jc", p.net, basis_rows(cfg, m, [u], clamp=clamp)[0]
+                ),
+                [(u,) for u in point_params(p.domain_u, seed=m)],
+                f"isoparam_v, degrees {(m, n)}",
+            )
 
 
 class TestPatchElevation:
