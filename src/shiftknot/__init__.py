@@ -32,7 +32,6 @@ from .basis import (
 from .curve import (
     Curve,
     DeCasteljauTriangle,
-    Point,
     decasteljau_triangle,
     elevate,
     elevate_many,
@@ -84,7 +83,6 @@ __all__ = [
     "basis_value_in_frame",
     "elevation_coefficients",
     "basis_derivative",
-    "Point",
     "Curve",
     "DeCasteljauTriangle",
     "eval_direct",

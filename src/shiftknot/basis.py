@@ -45,6 +45,10 @@ MAX_DEGREE = 64
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# Intervals kept by domain(), least recently used dropped first: every
+# degree of 16 shift pairs.
+_DOMAIN_CACHE_SIZE = 16 * MAX_DEGREE
+
 
 @dataclass(frozen=True)
 class ShiftedKnotConfig:
@@ -99,9 +103,6 @@ class DomainInterval:
         # forgive a few ulps of roundoff from caller-side arithmetic
         return 32.0 * _EPS * max(1.0, abs(self.lo), abs(self.hi))
 
-    def contains(self, t: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= t <= self.hi + slack
-
     def clamp(self, t: float) -> float:
         return min(max(float(t), self.lo), self.hi)
 
@@ -114,10 +115,13 @@ class DomainInterval:
         t = float(t)
         if not math.isfinite(t):
             raise DomainError(f"parameter must be finite, got {t!r}")
-        if not clamp and not self.contains(t, self._slack()):
-            raise DomainError(
-                f"parameter {t!r} outside [{self.lo!r}, {self.hi!r}] for degree {self.degree}"
-            )
+        if not clamp:
+            slack = self._slack()
+            if not self.lo - slack <= t <= self.hi + slack:
+                raise DomainError(
+                    f"parameter {t!r} outside [{self.lo!r}, {self.hi!r}]"
+                    f" for degree {self.degree}"
+                )
         return self.clamp(t)
 
     def admit_array(self, ts, clamp: bool = False) -> np.ndarray:
@@ -176,10 +180,22 @@ def _check_int(value, lo: int, hi: int, what: str, error: type[Exception]) -> in
 
 
 def domain(config: ShiftedKnotConfig, n: int) -> DomainInterval:
-    """Parameter interval carried by the degree-n basis of ``config``."""
+    """Parameter interval carried by the degree-n basis of ``config``.
+
+    Each interval is built once per shift pair and degree and then shared;
+    it is immutable.
+    """
     n = _check_int(n, 1, MAX_DEGREE, "degree", ConstraintError)
-    denom = n + config.beta
-    return DomainInterval(config.alpha / denom, (n + config.alpha) / denom, n)
+    alpha = config.alpha
+    return _domain(alpha, config.beta, n, math.copysign(1.0, alpha))
+
+
+@functools.lru_cache(maxsize=_DOMAIN_CACHE_SIZE)
+def _domain(alpha: float, beta: float, n: int, alpha_sign: float) -> DomainInterval:
+    # alpha_sign only keys the cache: 0.0 == -0.0, but each gives lo its own
+    # sign. beta's sign cannot reach the interval, as n >= 1 is added to it.
+    denom = n + beta
+    return DomainInterval(alpha / denom, (n + alpha) / denom, n)
 
 
 @dataclass(frozen=True)
@@ -226,7 +242,9 @@ def basis_value(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = False
 
 def basis_row(config: ShiftedKnotConfig, n: int, t: float, *, clamp: bool = False) -> np.ndarray:
     """All ``n + 1`` basis values at one parameter, in index order."""
-    return basis_rows(config, n, np.array([float(t)]), clamp=clamp)[0]
+    dom = domain(config, n)
+    wl, wr = dom.weights(dom.admit(t, clamp))
+    return _kernels.basis_rows_batch(np.array([wl]), np.array([wr]), binomial_row(dom.degree))[0]
 
 
 def basis_rows(config: ShiftedKnotConfig, n: int, ts, *, clamp: bool = False) -> np.ndarray:

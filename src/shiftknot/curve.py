@@ -9,7 +9,6 @@ plus degree elevation and endpoint derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .basis import (
 from .errors import ConstraintError
 
 __all__ = [
-    "Point",
     "Curve",
     "DeCasteljauTriangle",
     "eval_direct",
@@ -40,8 +38,6 @@ __all__ = [
     "elevate_many",
     "endpoint_derivative",
 ]
-
-Point = np.ndarray
 
 # Samples per batched step-matrix product in sample_curve(algorithm="matrix").
 # At MAX_DEGREE one stack of step matrices then takes 256 * 64 * 65 * 8 bytes,
@@ -76,9 +72,13 @@ def _freeze_points(points, *, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
-    """Immutable control polygon plus its knot-shift configuration."""
+    """Immutable control polygon plus its knot-shift configuration.
+
+    Compared and hashed by identity: two objects built from equal arrays
+    are distinct, and each can serve as a dict key.
+    """
 
     config: ShiftedKnotConfig
     control: np.ndarray
@@ -97,7 +97,7 @@ class Curve:
     def dimension(self) -> int:
         return self.control.shape[1]
 
-    @cached_property
+    @property
     def domain(self) -> DomainInterval:
         return domain(self.config, self.degree)
 

@@ -9,7 +9,6 @@ degree-n interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfacePatch:
-    """Immutable control net plus its knot-shift configuration."""
+    """Immutable control net plus its knot-shift configuration.
+
+    Compared and hashed by identity: two objects built from equal arrays
+    are distinct, and each can serve as a dict key.
+    """
 
     config: ShiftedKnotConfig
     net: np.ndarray
@@ -56,11 +59,11 @@ class SurfacePatch:
     def dimension(self) -> int:
         return self.net.shape[2]
 
-    @cached_property
+    @property
     def domain_u(self) -> DomainInterval:
         return domain(self.config, self.net.shape[0] - 1)
 
-    @cached_property
+    @property
     def domain_v(self) -> DomainInterval:
         return domain(self.config, self.net.shape[1] - 1)
 

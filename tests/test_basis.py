@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from shiftknot import (
     ConstraintError,
     Curve,
     DomainError,
+    DomainInterval,
+    SurfacePatch,
     basis_derivative,
     basis_row,
     basis_row_by_recurrence,
@@ -22,9 +25,17 @@ from shiftknot import (
     elevation_coefficients,
     elevate_many,
     elevation_matrix,
+    eval_decasteljau,
+    eval_direct,
+    eval_matrix_form,
+    eval_patch,
+    eval_patch_decasteljau,
+    isoparam_u,
+    isoparam_v,
     make_config,
     step_matrix,
 )
+from shiftknot.basis import _domain
 
 import _classical
 from _helpers import PIN_SHIFTS, assert_pinned, point_params, random_config
@@ -92,6 +103,14 @@ class TestDomain:
             dom = domain(cfg, int(rng.integers(1, 13)))
             assert dom.lo < dom.hi
             assert dom.lo >= 0.0
+
+    def test_interval_is_shared(self):
+        cfg = make_config(4, 6)
+        assert domain(cfg, np.int64(2)) is domain(cfg, 2)
+        assert domain(make_config(4.0, 6.0), 2) is domain(cfg, 2)
+
+    def test_interval_cache_is_bounded(self):
+        assert _domain.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("first", [0.0, -0.0], ids=repr)
     def test_zero_alpha_keeps_its_sign(self, first):
@@ -221,6 +240,57 @@ class TestBasisRow:
                 [(t,) for t in point_params(domain(cfg, n), seed=n)],
                 f"degree {n}",
             )
+
+
+_CURVE = Curve(make_config(4, 6), np.arange(8.0).reshape(4, 2))
+_PATCH = SurfacePatch(make_config(4, 6), np.arange(24.0).reshape(4, 2, 3))
+_T = _CURVE.domain.from_unit(0.3)
+_U, _V = _PATCH.domain_u.from_unit(0.3), _PATCH.domain_v.from_unit(0.6)
+SINGLE_POINT_ROUTES = {
+    "basis_value": lambda: basis_value(_CURVE.config, (3, 1), _T),
+    "basis_derivative": lambda: basis_derivative(_CURVE.config, (3, 1), _T),
+    "basis_row": lambda: basis_row(_CURVE.config, 3, _T),
+    "basis_row_by_recurrence": lambda: basis_row_by_recurrence(_CURVE.config, 3, _T),
+    "step_matrix": lambda: step_matrix(_CURVE.config, 3, 1, _T),
+    "eval_direct": lambda: eval_direct(_CURVE, _T),
+    "eval_decasteljau": lambda: eval_decasteljau(_CURVE, _T),
+    "eval_matrix_form": lambda: eval_matrix_form(_CURVE, _T),
+    "eval_patch": lambda: eval_patch(_PATCH, _U, _V),
+    "eval_patch_decasteljau": lambda: eval_patch_decasteljau(_PATCH, _U, _V),
+    "isoparam_u": lambda: isoparam_u(_PATCH, _V),
+    "isoparam_v": lambda: isoparam_v(_PATCH, _U),
+}
+
+
+class TestSinglePointAdmission:
+    """Single-point routes admit one scalar into a shared domain. The
+    benchmark's traced admission time and domain builds per evaluation
+    count these very calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("admit", "admit_array", "__post_init__"):
+            original = getattr(DomainInterval, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(DomainInterval, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("route, admits", [("eval_direct", 1), ("eval_patch", 2)])
+    def test_scalar_admission(self, calls, route, admits):
+        SINGLE_POINT_ROUTES[route]()
+        assert (calls["admit"], calls["admit_array"]) == (admits, 0)
+
+    @pytest.mark.parametrize("route", list(SINGLE_POINT_ROUTES))
+    def test_second_call_builds_no_domain(self, calls, route):
+        SINGLE_POINT_ROUTES[route]()
+        built = calls["__post_init__"]
+        SINGLE_POINT_ROUTES[route]()
+        assert calls["__post_init__"] == built
 
 
 class TestRecurrence:

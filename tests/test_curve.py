@@ -55,6 +55,14 @@ class TestCurveContainer:
     def test_domain_is_built_once(self):
         c = parabola_curve()
         assert c.domain is c.domain
+        assert c.domain is domain(c.config, c.degree)
+
+    def test_identity_semantics(self):
+        c, twin = parabola_curve(), parabola_curve()
+        assert c == c
+        assert c != twin
+        assert {c: "c", twin: "twin"}[c] == "c"
+        assert hash(c) == hash(c)
 
     def test_degenerate_domain_raises_on_every_use(self):
         # alpha = beta = 1e17 puts both domain ends on 1.0 in float

@@ -61,6 +61,14 @@ class TestPatchContainer:
         p = bilinear_patch()
         assert p.domain_u is p.domain_u
         assert p.domain_v is p.domain_v
+        assert p.domain_u is domain(p.config, p.degrees[0])
+
+    def test_identity_semantics(self):
+        p, twin = bilinear_patch(), bilinear_patch()
+        assert p == p
+        assert p != twin
+        assert {p: "p", twin: "twin"}[p] == "p"
+        assert hash(p) == hash(p)
 
     def test_net_is_frozen(self):
         p = bilinear_patch()
