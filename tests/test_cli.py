@@ -293,6 +293,16 @@ GOLDEN_PATH = Path(__file__).parent / "fixtures" / "cli_golden.json"
 # Input files as literal text, so they do not depend on the writer under test.
 # Degrees stay at or below 12.
 _HELIX = ", ".join(f"[{k}, {(k * k) % 7 - 3.25!r}, {0.1 * k!r}]" for k in range(13))
+# the benchmark's shapes: a 3-D quintic at (4, 6) and a 3-D degree-(3, 4)
+# patch at (0, 0), with coordinates of mixed sign and magnitude up to 10
+_QUINTIC = ", ".join(
+    f"[{(k * 37) % 11 - 5.3!r}, {9.75 - 3.1 * k!r}, {(k * k) % 5 * -1.7!r}]" for k in range(6)
+)
+_NET34 = ", ".join(
+    "[" + ", ".join(f"[{2.5 * i - 0.3 * j!r}, {1.9 * j - 0.1 * i * i!r}, "
+                    f"{((3 * i + 5 * j) % 7 - 3) * 1.45!r}]" for j in range(5)) + "]"
+    for i in range(4)
+)
 GOLDEN_FILES = {
     "line.json": '{"alpha": 0, "beta": 0, "degree": 2, "control": [[0], [-0.0], [1.5]]}',
     "negzero.json": (
@@ -315,6 +325,8 @@ GOLDEN_FILES = {
         '{"alpha": 1e8, "beta": 1e9, "degrees": [1, 2], "control": '
         "[[[0], [1], [2]], [[3], [4], [5.5]]]}"
     ),
+    "quintic.json": f'{{"alpha": 4, "beta": 6, "degree": 5, "control": [{_QUINTIC}]}}',
+    "patch34.json": f'{{"alpha": 0, "beta": 0, "degrees": [3, 4], "control": [{_NET34}]}}',
     "bad.json": '{"alpha": 0',
 }
 
@@ -381,6 +393,13 @@ def _golden_matrix() -> list[list[str]]:
         ["curve-eval", "bad.json", "0.5"],
         ["curve-eval", "missing.json", "0.5"],
     ]
+    # the benchmark's sizes: about five thousand rows or points per output
+    basis = ["basis", "--alpha", "1e3", "--beta", "1e4", "--degree", "3", "--samples", "1250"]
+    cases += [[*basis, "--format", fmt] for fmt in ("csv", "svg")]
+    cases += [["surface-sample", "patch34.json", "--samples", "71", "--format", fmt]
+              for fmt in ("csv", "json", "svg")]
+    cases += [["curve-sample", name, "--samples", "5000", "--format", "svg"]
+              for name in ("line.json", "quintic.json")]
     return cases
 
 
@@ -424,6 +443,57 @@ class TestGoldenBytes:
     def test_stdout_and_status(self, argv, golden, golden_dir, monkeypatch):
         monkeypatch.chdir(golden_dir)
         assert _golden_digest(argv) == golden[" ".join(argv)]
+
+
+# perfbench/spans.py times the CLI's layers by wrapping these module
+# attributes by name, and ``parse_args`` on the parser ``build_parser``
+# returns; a parser cache or an inlined call would silently break a metric.
+_COMMANDS = {
+    "basis": "cmd_basis",
+    "curve-eval": "cmd_curve_eval",
+    "curve-sample": "cmd_curve_sample",
+    "elevate": "cmd_elevate",
+    "surface-sample": "cmd_surface_sample",
+}
+_WIRING_CASES = [
+    *(["basis", "--alpha", "4", "--beta", "6", "--degree", "3", "--samples", "5",
+       "--format", fmt] for fmt in ("csv", "json", "svg")),
+    ["curve-eval", "quintic.json", "0.6", "--algorithm", "matrix"],
+    *(["curve-sample", "quintic.json", "--samples", "5", "--format", fmt]
+      for fmt in ("csv", "json", "svg")),
+    ["elevate", "quintic.json", "--levels", "2"],
+    *(["surface-sample", "patch34.json", "--samples", "4", "--format", fmt]
+      for fmt in ("csv", "json", "svg")),
+]
+
+
+class TestTracedWiring:
+    @pytest.mark.parametrize("repeat", [1, 2])
+    @pytest.mark.parametrize("argv", _WIRING_CASES, ids=" ".join)
+    def test_each_layer_is_called_once_per_main(self, argv, repeat, golden_dir, monkeypatch):
+        monkeypatch.chdir(golden_dir)
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        build_parser = cli.build_parser
+
+        def traced_build_parser():
+            parser = build_parser()
+            parser.parse_args = counted("parse_args", parser.parse_args)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", counted("build_parser", traced_build_parser))
+        for name in ("_emit", *_COMMANDS.values()):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        for _ in range(repeat):
+            assert _golden_digest(argv)[1] == 0
+        expected = {"build_parser": 1, "parse_args": 1, _COMMANDS[argv[0]]: 1, "_emit": 1}
+        assert calls == {name: repeat * count for name, count in expected.items()}
 
 
 if __name__ == "__main__":
