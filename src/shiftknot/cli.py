@@ -80,6 +80,12 @@ def _json_value(value) -> str:
     return str(value) if isinstance(value, int) else format_float(value)
 
 
+def _axis_texts(values: np.ndarray) -> np.ndarray:
+    """``FLOAT_SPEC`` text of each grid-axis value, formatted once, for
+    ``np.repeat``/``np.tile`` into a table column written by ``%s``."""
+    return np.array([FLOAT_SPEC % v for v in values.tolist()], dtype=object)
+
+
 def _table(fmt: str, fields, columns, meta=()) -> str:
     """One row per entry of the equal-length 1-D ``columns``, each value
     written by the printf spec that ``fields`` pairs with its column name.
@@ -100,8 +106,9 @@ def _table(fmt: str, fields, columns, meta=()) -> str:
 
 
 def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
-    """Fixed 640x480 viewport; ``series`` is (points, stroke) pairs in data
-    coordinates, ``bbox`` the unpadded data extent."""
+    """Fixed 640x480 viewport; ``series`` is (xs, ys, stroke) triples of
+    equal-length 1-D arrays in data coordinates, ``bbox`` the unpadded data
+    extent."""
     width, height = 640, 480
     xmin, xmax, ymin, ymax = bbox
     spanx = (xmax - xmin) or 1.0
@@ -113,18 +120,12 @@ def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
     sx = width / (xmax - xmin)
     sy = height / (ymax - ymin)
 
-    def px(x):
-        return (x - xmin) * sx
-
-    def py(y):
-        return height - (y - ymin) * sy
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}"{attrs}>'
     ]
     for x, label in annotations:
-        tick = px(x)
+        tick = (x - xmin) * sx
         parts.append(
             f'<line x1="{tick:.2f}" y1="{height - 10}" x2="{tick:.2f}" y2="{height}"'
             ' stroke="#333333" stroke-width="1"/>'
@@ -133,8 +134,12 @@ def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
             f'<text x="{tick:.2f}" y="{height - 14}" font-size="11"'
             f' font-family="monospace" text-anchor="middle">{label}</text>'
         )
-    for points, stroke in series:
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in points)
+    for xs, ys, stroke in series:
+        # the ticks' formula elementwise: the same IEEE operations and rounding
+        pixels = np.empty((len(xs), 2))
+        pixels[:, 0] = (xs - xmin) * sx
+        pixels[:, 1] = height - (ys - ymin) * sy
+        coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pixels.ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5" points="{coords}"/>'
         )
@@ -160,14 +165,13 @@ def cmd_basis(args) -> str:
     rows = basis_rows(config, args.degree, ts, clamp=True)
     count = args.degree + 1
     if args.format != "svg":
-        fields = [("t", FLOAT_SPEC), ("k", "%d"), ("value", FLOAT_SPEC)]
-        columns = (np.repeat(ts, count), np.tile(np.arange(count), len(ts)), rows.ravel())
+        fields = [("t", "%s"), ("k", "%d"), ("value", FLOAT_SPEC)]
+        columns = (np.repeat(_axis_texts(ts), count), np.tile(np.arange(count), len(ts)),
+                   rows.ravel())
         meta = [("alpha", config.alpha), ("beta", config.beta), ("degree", args.degree),
                 ("domain", (dom.lo, dom.hi))]
         return _table(args.format, fields, columns, meta)
-    series = [
-        (list(zip(ts, rows[:, k])), _PALETTE[k % len(_PALETTE)]) for k in range(count)
-    ]
+    series = [(ts, rows[:, k], _PALETTE[k % len(_PALETTE)]) for k in range(count)]
     bbox = (float(ts[0]), float(ts[-1]), min(0.0, float(rows.min())), max(1.0, float(rows.max())))
     attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
     annotations = [(dom.lo, format(dom.lo, ".6g")), (dom.hi, format(dom.hi, ".6g"))]
@@ -200,7 +204,7 @@ def cmd_curve_sample(args) -> str:
         fields = [(name, FLOAT_SPEC) for name in ("t", *names)]
         return _table(args.format, fields, (ts, *points.T), [("domain", (dom.lo, dom.hi))])
     if curve.dimension == 1:
-        pts = list(zip(ts, points[:, 0]))
+        xs, ys = ts, points[:, 0]
         bbox = (
             float(ts[0]),
             float(ts[-1]),
@@ -208,7 +212,7 @@ def cmd_curve_sample(args) -> str:
             float(curve.control[:, 0].max()),
         )
     else:
-        pts = [(p[0], p[1]) for p in points]
+        xs, ys = points[:, 0], points[:, 1]
         ctrl = curve.control
         bbox = (
             float(ctrl[:, 0].min()),
@@ -217,7 +221,7 @@ def cmd_curve_sample(args) -> str:
             float(ctrl[:, 1].max()),
         )
     attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
-    return _svg_render([(pts, _PALETTE[0])], bbox, attrs=attrs)
+    return _svg_render([(xs, ys, _PALETTE[0])], bbox, attrs=attrs)
 
 
 def cmd_elevate(args) -> str:
@@ -233,29 +237,26 @@ def cmd_surface_sample(args) -> str:
     vs = _sample_grid(dom_v, args.samples, None, False)
     grid = sample_patch(patch, us, vs, clamp=True)
     if args.format != "svg":
-        columns = (np.repeat(us, len(vs)), np.tile(vs, len(us)),
+        columns = (np.repeat(_axis_texts(us), len(vs)), np.tile(_axis_texts(vs), len(us)),
                    *grid.reshape(-1, patch.dimension).T)
-        fields = [(name, FLOAT_SPEC) for name in ("u", "v", *names)]
+        fields = [("u", "%s"), ("v", "%s"), *((name, FLOAT_SPEC) for name in names)]
         meta = [("domain_u", (dom_u.lo, dom_u.hi)), ("domain_v", (dom_v.lo, dom_v.hi))]
         return _table(args.format, fields, columns, meta)
     if patch.dimension < 2:
         raise ConstraintError("SVG wireframes need 2 or 3 coordinates")
     if patch.dimension == 2:
-        keep = (0, 1)
+        a, b = 0, 1
     else:
         dropped = {"x": 0, "y": 1, "z": 2}[args.drop_axis]
-        keep = tuple(c for c in range(3) if c != dropped)
-    series = []
-    for i in range(len(us)):
-        series.append(([(p[keep[0]], p[keep[1]]) for p in grid[i]], _PALETTE[0]))
-    for j in range(len(vs)):
-        series.append(([(p[keep[0]], p[keep[1]]) for p in grid[:, j]], _PALETTE[1]))
+        a, b = (c for c in range(3) if c != dropped)
+    series = [(grid[i, :, a], grid[i, :, b], _PALETTE[0]) for i in range(len(us))]
+    series += [(grid[:, j, a], grid[:, j, b], _PALETTE[1]) for j in range(len(vs))]
     flat = patch.net.reshape(-1, patch.dimension)
     bbox = (
-        float(flat[:, keep[0]].min()),
-        float(flat[:, keep[0]].max()),
-        float(flat[:, keep[1]].min()),
-        float(flat[:, keep[1]].max()),
+        float(flat[:, a].min()),
+        float(flat[:, a].max()),
+        float(flat[:, b].min()),
+        float(flat[:, b].max()),
     )
     attrs = (
         f' data-domain-u="{format_float(dom_u.lo)} {format_float(dom_u.hi)}"'

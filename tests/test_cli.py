@@ -445,6 +445,70 @@ class TestGoldenBytes:
         assert _golden_digest(argv) == golden[" ".join(argv)]
 
 
+def _old_polyline(xs, ys, bbox) -> str:
+    """A polyline's ``points`` as the CLI wrote them point by point, on
+    ``np.float64`` scalars, before its pixels were computed in numpy."""
+    width, height = 640, 480
+    xmin, xmax, ymin, ymax = bbox
+    spanx = (xmax - xmin) or 1.0
+    spany = (ymax - ymin) or 1.0
+    xmin -= 0.05 * spanx
+    xmax += 0.05 * spanx
+    ymin -= 0.05 * spany
+    ymax += 0.05 * spany
+    sx = width / (xmax - xmin)
+    sy = height / (ymax - ymin)
+    return " ".join(f"{(x - xmin) * sx:.2f},{height - (y - ymin) * sy:.2f}"
+                    for x, y in zip(xs, ys))
+
+
+def _svg_cases():
+    rng = np.random.default_rng(20151)
+    cases = []
+    for scale in (1e-300, 1e-10, 1.0, 1e10, 1e300):
+        # the bbox is the data's extent, so points lie exactly on its edges
+        data = rng.uniform(-scale, scale, size=(200, 3))
+        data[rng.integers(0, 200, 20), rng.integers(0, 3, 20)] = -0.0
+        bbox = tuple(float(f(data[:, c])) for c in (0, 1) for f in (np.min, np.max))
+        cases.append((f"scale-{scale:g}", data, bbox))
+    # just outside the padded box, so pixels round to -0.00
+    xs = np.array([-0.05 - 1e-6, -0.05, 0.0, 1.0, 1.05, 1.05 + 1e-6, 0.5])
+    ys = np.array([1.05 + 1e-6, 1.05, 1.0, 0.0, -0.05, -0.05 - 1e-6, -0.0])
+    cases.append(("negative-zero-pixels", np.stack([xs, ys, xs], axis=1), (0.0, 1.0, 0.0, 1.0)))
+    # near the half-cent rounding boundaries, where a reordered formula
+    # that differs in the last bit writes a different pixel
+    bbox = (-3.0, 7.0, -2.0, 11.0)
+    xmin, ymin, sx, sy = -3.5, -2.65, 640 / 11.0, 480 / 14.3
+    half = np.arange(0.0, 640.0, 1.37) + 0.005
+    bits = np.arange(-4, 5)
+    xs = (xmin + half / sx)[:, None].view(np.int64) + bits
+    ys = (ymin + (480 - half) / sy)[:, None].view(np.int64) + bits
+    near = np.stack([xs.view(np.float64).ravel(), ys.view(np.float64).ravel()], axis=1)
+    cases.append(("rounding-boundaries", np.concatenate([near, near[:, :1]], axis=1), bbox))
+    # zero-span bboxes: the span falls back to 1
+    flat = np.stack([np.linspace(-3.0, 7.0, 50), np.full(50, 2.5), np.zeros(50)], axis=1)
+    cases.append(("zero-span-y", flat, (-3.0, 7.0, 2.5, 2.5)))
+    cases.append(("zero-span-both", flat[:, [1, 1, 2]], (2.5, 2.5, 2.5, 2.5)))
+    cases.append(("zero-span-zero", -flat[:, [2, 2, 2]], (0.0, 0.0, -0.0, -0.0)))
+    return cases
+
+
+_SVG_CASES = _svg_cases()
+
+
+class TestSvgPixels:
+    @pytest.mark.parametrize("name, data, bbox", _SVG_CASES, ids=[c[0] for c in _SVG_CASES])
+    def test_points_match_the_per_point_formula(self, name, data, bbox):
+        # column slices of one array, as the commands pass them
+        series = [(data[:, 0], data[:, 1], "#000000"), (data[::3, 2], data[::3, 0], "#111111")]
+        svg = cli._svg_render(series, bbox, annotations=[(bbox[0], "lo")])
+        written = re.findall(r'points="([^"]*)"', svg)
+        expected = [_old_polyline(xs, ys, bbox) for xs, ys, _ in series]
+        assert written == expected
+        if name == "negative-zero-pixels":
+            assert expected[0].startswith("-0.00,-0.00 ")
+
+
 # perfbench/spans.py times the CLI's layers by wrapping these module
 # attributes by name, and ``parse_args`` on the parser ``build_parser``
 # returns; a parser cache or an inlined call would silently break a metric.
