@@ -163,7 +163,9 @@ class DomainInterval:
         """Uniform samples including both endpoints exactly."""
         if count < 2:
             raise ConstraintError(f"sample count must be at least 2, got {count}")
-        return np.linspace(self.lo, self.hi, count)
+        ts = np.linspace(self.lo, self.hi, count)
+        ts[0] = self.lo  # linspace starts a -0.0 interval at +0.0
+        return ts
 
 
 def _check_int(value, lo: int, hi: int, what: str, error: type[Exception]) -> int:

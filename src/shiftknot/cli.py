@@ -71,7 +71,9 @@ def _sample_grid(dom, samples: int, range_pair, clamp: bool) -> np.ndarray:
         else:
             rlo, rhi = dom.admit(rlo), dom.admit(rhi)
         lo, hi = rlo, rhi
-    return np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, samples)
+    ts[0] = lo  # linspace starts at +0.0 when lo is -0.0
+    return ts
 
 
 def _json_value(value) -> str:

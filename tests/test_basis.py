@@ -121,6 +121,14 @@ class TestDomain:
                 lo = domain(make_config(alpha, 0), n).lo
                 assert math.copysign(1.0, lo) == math.copysign(1.0, alpha), (n, alpha)
 
+    def test_grid_keeps_both_endpoints(self):
+        # np.linspace(-0.0, 1.0, n)[0] is +0.0
+        assert repr(float(domain(make_config(-0.0, 0), 3).grid(5)[0])) == "-0.0"
+        for alpha, beta in ((0.0, 0.0), (4.0, 6.0), (1e8, 1e9)):
+            dom = domain(make_config(alpha, beta), 3)
+            ts = dom.grid(7)
+            assert (float(ts[0]), float(ts[-1])) == (dom.lo, dom.hi)
+
     def test_unit_maps_roundtrip(self):
         dom = domain(make_config(4, 6), 3)
         for s in np.linspace(0, 1, 7):
