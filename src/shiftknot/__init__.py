@@ -26,7 +26,6 @@ from .basis import (
     basis_value_in_frame,
     binomial_row,
     domain,
-    elevation_coefficients,
     make_config,
 )
 from .curve import (
@@ -81,7 +80,6 @@ __all__ = [
     "basis_rows",
     "basis_row_by_recurrence",
     "basis_value_in_frame",
-    "elevation_coefficients",
     "basis_derivative",
     "Curve",
     "DeCasteljauTriangle",

@@ -34,7 +34,6 @@ __all__ = [
     "basis_rows",
     "basis_row_by_recurrence",
     "basis_value_in_frame",
-    "elevation_coefficients",
     "basis_derivative",
 ]
 
@@ -303,18 +302,6 @@ def basis_value_in_frame(
     k = _check_int(k, 0, degree, "basis position", IndexError)
     wl, wr = dom.weights(dom.admit(t, clamp))
     return float(binomial_row(degree)[k] * wr**k * wl ** (degree - k))
-
-
-def elevation_coefficients(n: int, k: int) -> tuple[float, float]:
-    """Convex pair ``(keep, shift)`` expressing a degree-n basis function in
-    the degree-(n+1) basis of the same frame:
-
-        value(n, k) = keep * value(n+1, k) + shift * value(n+1, k+1)
-
-    with ``keep = (n + 1 - k) / (n + 1)`` and ``shift = (k + 1) / (n + 1)``.
-    """
-    idx = _as_index((n, k))
-    return (idx.n + 1 - idx.k) / (idx.n + 1), (idx.k + 1) / (idx.n + 1)
 
 
 def basis_derivative(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = False) -> float:

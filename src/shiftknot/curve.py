@@ -216,7 +216,9 @@ def elevation_matrix(n: int) -> np.ndarray:
 
     Shape ``(n + 2, n + 1)``: row j blends ``j/(n+1)`` of point ``j - 1``
     with ``(n+1-j)/(n+1)`` of point ``j``, so both endpoints are copied
-    verbatim.
+    verbatim. Column k holds degree-n basis function k in the degree-(n+1)
+    basis of the same frame: ``B(n, k) = E[k, k] B(n+1, k) + E[k+1, k]
+    B(n+1, k+1)``.
     """
     n = _check_int(n, 1, MAX_DEGREE, "degree", ConstraintError)
     mat = np.zeros((n + 2, n + 1))

@@ -22,7 +22,6 @@ from shiftknot import (
     basis_value_in_frame,
     binomial_row,
     domain,
-    elevation_coefficients,
     elevate_many,
     elevation_matrix,
     eval_decasteljau,
@@ -326,17 +325,25 @@ class TestRecurrence:
         np.testing.assert_allclose(row, [0.25, 0.5, 0.25], atol=1e-15)
 
 
+def _elevation_weights(n: int, k: int):
+    """``(keep, shift)`` of degree-n function k in the degree-(n+1) basis:
+    column k of the elevation matrix."""
+    E = elevation_matrix(n)
+    return E[k, k], E[k + 1, k]
+
+
 class TestElevationIdentity:
     def test_coefficients_frozen(self):
-        assert elevation_coefficients(1, 0) == (1.0, 0.5)
-        assert elevation_coefficients(3, 3) == (0.25, 1.0)
-        keep, shift = elevation_coefficients(5, 2)
+        assert _elevation_weights(1, 0) == (1.0, 0.5)
+        assert _elevation_weights(3, 3) == (0.25, 1.0)
+        keep, shift = _elevation_weights(5, 2)
         assert keep == pytest.approx(4 / 6)
         assert shift == pytest.approx(3 / 6)
 
-    def test_coefficients_validate_index(self):
-        with pytest.raises(IndexError):
-            elevation_coefficients(2, 3)
+    @pytest.mark.parametrize("n", [1, 2, 5, MAX_DEGREE])
+    def test_matrix_shape(self, n):
+        # one row per degree-(n+1) function, one column per degree-n function
+        assert elevation_matrix(n).shape == (n + 2, n + 1)
 
     def test_classical_identity_same_parameter(self):
         # with zero shifts all degrees share [0, 1], so the identity can be
@@ -345,7 +352,7 @@ class TestElevationIdentity:
         for t in np.linspace(0, 1, 20):
             for n in range(1, 6):
                 for k in range(n + 1):
-                    keep, shift = elevation_coefficients(n, k)
+                    keep, shift = _elevation_weights(n, k)
                     rhs = keep * basis_value(cfg, (n + 1, k), t) + shift * basis_value(
                         cfg, (n + 1, k + 1), t
                     )
@@ -359,7 +366,7 @@ class TestElevationIdentity:
             n = int(rng.integers(1, 10))
             t = domain(cfg, n).from_unit(rng.uniform())
             for k in range(n + 1):
-                keep, shift = elevation_coefficients(n, k)
+                keep, shift = _elevation_weights(n, k)
                 rhs = keep * basis_value_in_frame(cfg, n, n + 1, k, t) + shift * (
                     basis_value_in_frame(cfg, n, n + 1, k + 1, t)
                 )
@@ -374,7 +381,7 @@ class TestElevationIdentity:
             t_n = domain(cfg, n).from_unit(s)
             t_n1 = domain(cfg, n + 1).from_unit(s)
             for k in range(n + 1):
-                keep, shift = elevation_coefficients(n, k)
+                keep, shift = _elevation_weights(n, k)
                 rhs = keep * basis_value(cfg, (n + 1, k), t_n1) + shift * basis_value(
                     cfg, (n + 1, k + 1), t_n1
                 )
