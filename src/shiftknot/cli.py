@@ -72,7 +72,7 @@ def _sample_grid(dom, samples: int, range_pair, clamp: bool) -> np.ndarray:
             rlo, rhi = dom.admit(rlo), dom.admit(rhi)
         lo, hi = rlo, rhi
     ts = np.linspace(lo, hi, samples)
-    ts[0] = lo  # linspace starts at +0.0 when lo is -0.0
+    ts[0] = lo  # linspace starts a -0.0 interval at +0.0
     return ts
 
 
@@ -138,9 +138,7 @@ def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
         )
     for xs, ys, stroke in series:
         # the ticks' formula elementwise: the same IEEE operations and rounding
-        pixels = np.empty((len(xs), 2))
-        pixels[:, 0] = (xs - xmin) * sx
-        pixels[:, 1] = height - (ys - ymin) * sy
+        pixels = np.column_stack(((xs - xmin) * sx, height - (ys - ymin) * sy))
         coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pixels.ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5" points="{coords}"/>'
