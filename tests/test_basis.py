@@ -34,6 +34,7 @@ from shiftknot import (
     make_config,
     step_matrix,
 )
+from shiftknot import _kernels
 from shiftknot.basis import _domain
 
 import _classical
@@ -127,6 +128,37 @@ class TestDomain:
             dom = domain(make_config(alpha, beta), 3)
             ts = dom.grid(7)
             assert (float(ts[0]), float(ts[-1])) == (dom.lo, dom.hi)
+
+    @pytest.mark.parametrize("n", [1, 3, MAX_DEGREE])
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_admission_bounds_pin_the_slack_formula(self, shift, n):
+        # a few ulps of roundoff are forgiven, and not one float more
+        dom = domain(make_config(*shift), n)
+        slack = 32.0 * EPS * max(1.0, abs(dom.lo), abs(dom.hi))
+        for edge, end, away in ((dom.lo - slack, dom.lo, -math.inf),
+                                (dom.hi + slack, dom.hi, math.inf)):
+            assert dom.admit(edge) == end
+            assert dom.admit_array([edge])[0] == end
+            beyond = float(np.nextafter(edge, away))
+            with pytest.raises(DomainError, match="outside"):
+                dom.admit(beyond)
+            with pytest.raises(DomainError, match="outside"):
+                dom.admit_array([beyond])
+            assert dom.admit(beyond, clamp=True) == end
+            assert dom.admit_array([beyond], clamp=True)[0] == end
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_admission_rejects_non_finite(self, t, clamp):
+        for shift in PIN_SHIFTS:
+            for n in (1, 3, MAX_DEGREE):
+                with pytest.raises(DomainError, match="parameter must be finite"):
+                    domain(make_config(*shift), n).admit(t, clamp)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_admission_keeps_negative_zero(self, clamp):
+        for n in (1, 3, MAX_DEGREE):
+            assert repr(domain(make_config(0, 0), n).admit(-0.0, clamp)) == "-0.0"
 
     def test_unit_maps_roundtrip(self):
         dom = domain(make_config(4, 6), 3)
@@ -271,8 +303,8 @@ SINGLE_POINT_ROUTES = {
 
 class TestSinglePointAdmission:
     """Single-point routes admit one scalar into a shared domain. The
-    benchmark's traced admission time and domain builds per evaluation
-    count these very calls."""
+    benchmark's traced admission time, basis-row kernel time and domain
+    builds per evaluation count these very calls."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -287,10 +319,22 @@ class TestSinglePointAdmission:
             monkeypatch.setattr(DomainInterval, name, counted)
         return calls
 
-    @pytest.mark.parametrize("route, admits", [("eval_direct", 1), ("eval_patch", 2)])
+    @pytest.mark.parametrize("route, admits", [
+        ("eval_direct", 1), ("eval_patch", 2), ("eval_decasteljau", 1),
+        ("eval_matrix_form", 1), ("eval_patch_decasteljau", 2), ("basis_value", 1),
+    ])
     def test_scalar_admission(self, calls, route, admits):
         SINGLE_POINT_ROUTES[route]()
         assert (calls["admit"], calls["admit_array"]) == (admits, 0)
+
+    @pytest.mark.parametrize("route, rows", [("eval_direct", 1), ("eval_patch", 2)])
+    def test_rows_through_the_kernel_attribute(self, monkeypatch, route, rows):
+        calls = []
+        kernel = _kernels.basis_rows_batch
+        monkeypatch.setattr(_kernels, "basis_rows_batch",
+                            lambda *args: calls.append(1) or kernel(*args))
+        SINGLE_POINT_ROUTES[route]()
+        assert len(calls) == rows
 
     @pytest.mark.parametrize("route", list(SINGLE_POINT_ROUTES))
     def test_second_call_builds_no_domain(self, calls, route):

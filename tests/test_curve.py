@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shiftknot import _kernels
+from shiftknot.curve import _band_matrices
 from shiftknot import (
     MAX_DEGREE,
     ConstraintError,
@@ -224,9 +225,38 @@ class TestEvaluation:
         assert checked >= 20
 
 
+def _per_level_products(curve, ts):
+    """The step-matrix route as one loop over the pyramid levels that
+    builds each level's band matrices anew, on weights computed here."""
+    lo, hi = curve.domain.lo, curve.domain.hi
+    ts = np.asarray(ts, dtype=np.float64)[:, None]
+    wl, wr = (hi - ts) / (hi - lo), (ts - lo) / (hi - lo)
+    vec = curve.control
+    for rows in range(curve.degree, 0, -1):
+        vec = _band_matrices(rows, wl, wr) @ vec
+    return vec[:, 0]
+
+
 class TestMatrixRoutePins:
     """The matrix sampler returns, bit for bit, what the single-point
-    step-matrix route returns at each of its parameters."""
+    step-matrix route returns at each of its parameters, and both return
+    what a per-level loop over freshly built band matrices returns."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_routes_match_per_level_loop(self, shift, dim):
+        rng = np.random.default_rng(dim)
+        for curve, ts in pinned_curves(*shift, dim):
+            what = f"degree {curve.degree}"
+            for t in ts:
+                want = _per_level_products(curve, [t])
+                assert_bits_equal(eval_matrix_form(curve, t), want[0], what)
+                assert_bits_equal(sample_curve(curve, [t], algorithm="matrix"), want, what)
+            dom = curve.domain
+            many = np.concatenate([ts, dom.lo + rng.uniform(size=600 - len(ts)) * dom.width])
+            many = np.clip(many, dom.lo, dom.hi)
+            got = sample_curve(curve, many, algorithm="matrix")
+            assert_bits_equal(got, _per_level_products(curve, many), what)
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("shift", PIN_SHIFTS)

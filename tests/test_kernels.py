@@ -3,6 +3,7 @@ import pytest
 
 from shiftknot import _kernels
 from shiftknot import (
+    MAX_DEGREE,
     basis_row,
     basis_rows,
     binomial_row,
@@ -25,6 +26,18 @@ class TestNumpyVariants:
         np.testing.assert_array_equal(got, basis_rows(make_config(3, 7), 6, ts))
         want = np.array([_classical.bernstein_row(6, s) for s in wr])
         np.testing.assert_allclose(got, want, atol=1e-13)
+
+    @pytest.mark.parametrize("samples", [1, 7, 5000])
+    def test_basis_rows_pin_the_power_expression(self, samples):
+        # bit for bit, at every degree up to MAX_DEGREE, with both ends
+        rng = np.random.default_rng(samples)
+        for n in range(1, MAX_DEGREE + 1):
+            wr = rng.uniform(size=samples)
+            wr[: min(samples, 2)] = [0.0, 1.0][: samples]
+            wl = 1.0 - wr
+            k = np.arange(n + 1)
+            want = binomial_row(n) * wr[:, None] ** k * wl[:, None] ** (n - k)
+            assert_bits_equal(_kernels.basis_rows_batch(wl, wr, binomial_row(n)), want, f"{n}")
 
     def test_decasteljau_batch_matches_direct(self):
         rng = np.random.default_rng(2)
