@@ -9,10 +9,20 @@ row.
 import numpy as np
 
 __all__ = [
+    "MAX_DEGREE",
     "basis_rows_batch",
     "decasteljau_batch",
     "patch_grid",
 ]
+
+# Highest supported degree; higher degrees are rejected rather than silently
+# degraded. binomial_row rounds the exact integers at any degree, so the cap
+# is set by the float evaluation routes, not by the binomials.
+MAX_DEGREE = 64
+
+# Exponents of every degree: k is _POWERS[:n + 1] and n - k is _POWERS[n::-1].
+_POWERS = np.arange(MAX_DEGREE + 1)
+_POWERS.setflags(write=False)
 
 
 def basis_rows_batch(wl, wr, binom):
@@ -21,8 +31,7 @@ def basis_rows_batch(wl, wr, binom):
     Entry ``[s, k]`` is ``binom[k] * wr[s]**k * wl[s]**(n - k)``.
     """
     n = binom.shape[0] - 1
-    k = np.arange(n + 1)
-    return binom * wr[:, None] ** k * wl[:, None] ** (n - k)
+    return binom * wr[:, None] ** _POWERS[: n + 1] * wl[:, None] ** _POWERS[n::-1]
 
 
 def decasteljau_batch(control, wl, wr):

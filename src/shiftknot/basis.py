@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import MAX_DEGREE
 from .errors import ConstraintError, DomainError
 
 __all__ = [
@@ -36,11 +37,6 @@ __all__ = [
     "basis_value_in_frame",
     "basis_derivative",
 ]
-
-# Highest supported degree; higher degrees are rejected rather than silently
-# degraded. binomial_row rounds the exact integers at any degree, so the cap
-# is set by the float evaluation routes, not by the binomials.
-MAX_DEGREE = 64
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -84,23 +80,31 @@ def make_config(alpha: float, beta: float) -> ShiftedKnotConfig:
 
 @dataclass(frozen=True)
 class DomainInterval:
-    """Closed parameter interval of one basis degree."""
+    """Closed parameter interval of one basis degree.
+
+    Besides ``lo``, ``hi`` and ``degree`` it stores, computed once when it
+    is built:
+
+    - ``width``, the float ``hi - lo``;
+    - the admission bounds ``admit_lo = lo - slack`` and
+      ``admit_hi = hi + slack``, where ``slack = 32 eps max(1, |lo|, |hi|)``
+      forgives a few ulps of roundoff from caller-side arithmetic.
+    """
 
     lo: float
     hi: float
     degree: int
+    width: float = field(init=False, repr=False, compare=False)
+    admit_lo: float = field(init=False, repr=False, compare=False)
+    admit_hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ConstraintError(f"degenerate interval [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def _slack(self) -> float:
-        # forgive a few ulps of roundoff from caller-side arithmetic
-        return 32.0 * _EPS * max(1.0, abs(self.lo), abs(self.hi))
+        slack = 32.0 * _EPS * max(1.0, abs(self.lo), abs(self.hi))
+        object.__setattr__(self, "width", self.hi - self.lo)
+        object.__setattr__(self, "admit_lo", self.lo - slack)
+        object.__setattr__(self, "admit_hi", self.hi + slack)
 
     def clamp(self, t: float) -> float:
         return min(max(float(t), self.lo), self.hi)
@@ -108,20 +112,19 @@ class DomainInterval:
     def admit(self, t: float, clamp: bool = False) -> float:
         """Return ``t`` clipped into the interval, or raise ``DomainError``.
 
-        Strict mode (the default) rejects anything farther outside than a
-        few ulps; ``clamp=True`` pulls any finite value to the nearest end.
+        Strict mode (the default) rejects anything outside the admission
+        bounds; ``clamp=True`` pulls any finite value to the nearest end.
         """
         t = float(t)
-        if not math.isfinite(t):
-            raise DomainError(f"parameter must be finite, got {t!r}")
-        if not clamp:
-            slack = self._slack()
-            if not self.lo - slack <= t <= self.hi + slack:
+        if not self.admit_lo <= t <= self.admit_hi:  # NaN fails it too
+            if not math.isfinite(t):
+                raise DomainError(f"parameter must be finite, got {t!r}")
+            if not clamp:
                 raise DomainError(
                     f"parameter {t!r} outside [{self.lo!r}, {self.hi!r}]"
                     f" for degree {self.degree}"
                 )
-        return self.clamp(t)
+        return min(max(t, self.lo), self.hi)
 
     def admit_array(self, ts, clamp: bool = False) -> np.ndarray:
         ts = np.ascontiguousarray(np.asarray(ts, dtype=np.float64))
@@ -130,8 +133,7 @@ class DomainInterval:
         if not np.all(np.isfinite(ts)):
             raise DomainError("parameter samples must be finite")
         if not clamp:
-            slack = self._slack()
-            bad = (ts < self.lo - slack) | (ts > self.hi + slack)
+            bad = (ts < self.admit_lo) | (ts > self.admit_hi)
             if bad.any():
                 offender = float(ts[bad][0])
                 raise DomainError(
@@ -147,8 +149,7 @@ class DomainInterval:
         classical Bernstein basis in this pair; dividing by the width keeps
         it exactly ``(1, 0)`` and ``(0, 1)`` at the ends.
         """
-        width = self.width
-        return (self.hi - t) / width, (t - self.lo) / width
+        return (self.hi - t) / self.width, (t - self.lo) / self.width
 
     def to_unit(self, t: float) -> float:
         """Affinely map interval points onto [0, 1]."""

@@ -190,10 +190,15 @@ def _band_matrices(rows: int, wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
 
 def _step_products(control: np.ndarray, wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
     """Apply all step matrices to the control polygon for every sample;
-    weights are columns as in :func:`_band_matrices`. Shape ``(samples, dim)``."""
+    weights are columns as in :func:`_band_matrices`. Shape ``(samples, dim)``.
+
+    Each level's step matrices are the top-left ``(rows, rows + 1)`` blocks
+    of the first level's, so one band stack serves every level.
+    """
+    mats = _band_matrices(control.shape[0] - 1, wl, wr)
     vec = control
     for rows in range(control.shape[0] - 1, 0, -1):
-        vec = _band_matrices(rows, wl, wr) @ vec
+        vec = mats[:, :rows, : rows + 1] @ vec
     return vec[:, 0]
 
 
