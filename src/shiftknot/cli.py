@@ -12,6 +12,7 @@ also reports with status 2).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -110,7 +111,11 @@ def _table(fmt: str, fields, columns, meta=()) -> str:
 def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
     """Fixed 640x480 viewport; ``series`` is (xs, ys, stroke) triples of
     equal-length 1-D arrays in data coordinates, ``bbox`` the unpadded data
-    extent."""
+    extent.
+
+    Raises ``ConstraintError`` when the extent is too wide or too narrow
+    for float64 to place every point at a finite pixel.
+    """
     width, height = 640, 480
     xmin, xmax, ymin, ymax = bbox
     spanx = (xmax - xmin) or 1.0
@@ -121,13 +126,25 @@ def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
     ymax += 0.05 * spany
     sx = width / (xmax - xmin)
     sy = height / (ymax - ymin)
+    ticks = [((x - xmin) * sx, label) for x, label in annotations]
+    # the ticks' formula elementwise: the same IEEE operations and rounding;
+    # an overflowed extent (0 * inf) is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = [(np.column_stack(((xs - xmin) * sx, height - (ys - ymin) * sy)), stroke)
+                 for xs, ys, stroke in series]
+    if not (math.isfinite(sx) and math.isfinite(sy)
+            and all(math.isfinite(tick) for tick, _ in ticks)
+            and all(np.isfinite(pixels).all() for pixels, _ in lines)):
+        raise ConstraintError(
+            "SVG output cannot place the data extent"
+            f" [{bbox[0]!r}, {bbox[1]!r}] x [{bbox[2]!r}, {bbox[3]!r}] at finite pixels"
+        )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}"{attrs}>'
     ]
-    for x, label in annotations:
-        tick = (x - xmin) * sx
+    for tick, label in ticks:
         parts.append(
             f'<line x1="{tick:.2f}" y1="{height - 10}" x2="{tick:.2f}" y2="{height}"'
             ' stroke="#333333" stroke-width="1"/>'
@@ -136,10 +153,8 @@ def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
             f'<text x="{tick:.2f}" y="{height - 14}" font-size="11"'
             f' font-family="monospace" text-anchor="middle">{label}</text>'
         )
-    for xs, ys, stroke in series:
-        # the ticks' formula elementwise: the same IEEE operations and rounding
-        pixels = np.column_stack(((xs - xmin) * sx, height - (ys - ymin) * sy))
-        coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pixels.ravel().tolist())
+    for pixels, stroke in lines:
+        coords = " ".join(["%.2f,%.2f"] * len(pixels)) % tuple(pixels.ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5" points="{coords}"/>'
         )

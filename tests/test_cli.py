@@ -509,6 +509,31 @@ class TestSvgPixels:
             assert expected[0].startswith("-0.00,-0.00 ")
 
 
+class TestSvgExtent:
+    @pytest.fixture
+    def wide_dir(self, tmp_path):
+        # x spans -1e308..1e308, so the padded extent overflows
+        save_curve(Curve(make_config(4, 6), [[-1e308, 0.0], [0.0, 1.0], [1e308, 2.0]]),
+                   tmp_path / "curve.json")
+        net = [[[-1e308, 0.0, 0.0], [-1e308, 1.0, 0.0]], [[1e308, 0.0, 0.0], [1e308, 1.0, 2.0]]]
+        save_patch(SurfacePatch(make_config(4, 6), net), tmp_path / "patch.json")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["curve-sample", "{dir}/curve.json", "--samples", "3"],
+        ["basis", "--alpha", "0", "--beta", "0", "--degree", "2", "--samples", "3",
+         "--range", "0", "1e-320"],
+        ["surface-sample", "{dir}/patch.json", "--samples", "3"],
+    ], ids=["curve-wide", "basis-subnormal-range", "patch-wide"])
+    def test_non_finite_pixels_exit_one(self, argv, wide_dir):
+        argv = [a.format(dir=wide_dir) for a in argv]
+        proc = run_cli(*argv, "--format", "svg", expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("shiftknot: error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "finite pixels" in proc.stderr
+
+
 # perfbench/spans.py times the CLI's layers by wrapping these module
 # attributes by name, and ``parse_args`` on the parser ``build_parser``
 # returns; a parser cache or an inlined call would silently break a metric.
