@@ -122,8 +122,8 @@ def eval_matrix_form(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarr
     checkable against :func:`step_matrix`.
     """
     dom = curve.domain
-    wl, wr = dom.weights(np.array([[dom.admit(t, clamp)]]))
-    return _step_products(curve.control, wl, wr)[0]
+    wl, wr = dom.weights(dom.admit(t, clamp))
+    return _step_products(curve.control, np.array([[wl]]), np.array([[wr]]))[0]
 
 
 def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = False) -> np.ndarray:
@@ -212,8 +212,8 @@ def step_matrix(
     """
     dom = domain(config, n)
     r = _check_int(r, 1, dom.degree, "step index", IndexError)
-    wl, wr = dom.weights(np.array([[dom.admit(t, clamp)]]))
-    return _band_matrices(dom.degree - r + 1, wl, wr)[0]
+    wl, wr = dom.weights(dom.admit(t, clamp))
+    return _band_matrices(dom.degree - r + 1, np.array([[wl]]), np.array([[wr]]))[0]
 
 
 def elevation_matrix(n: int) -> np.ndarray:
