@@ -196,7 +196,7 @@ class TestBasisValue:
         with pytest.raises(IndexError):
             basis_value(make_config(0, 0), (3, 4), 0.5)
         with pytest.raises(IndexError):
-            BasisIndex(3, -1)
+            basis_value(make_config(0, 0), (3, -1), 0.5)
 
     def test_index_object_accepted(self):
         cfg = make_config(4, 6)
@@ -231,6 +231,43 @@ class TestBasisValue:
             t = domain(cfg, n).from_unit(rng.uniform())
             vals = [basis_value(cfg, (n, k), t) for k in range(n + 1)]
             np.testing.assert_allclose(vals, basis_row(cfg, n, t), rtol=4 * EPS, atol=0)
+
+
+def _value_closed_form(cfg, n, k, t, clamp):
+    dom = domain(cfg, n)
+    wl, wr = dom.weights(dom.admit(t, clamp))
+    return float(binomial_row(n)[k] * wr**k * wl ** (n - k))
+
+
+def _derivative_closed_form(cfg, n, k, t, clamp):
+    dom = domain(cfg, n)
+    wl, wr = dom.weights(dom.admit(t, clamp))
+    rising = k * wr ** (k - 1) * wl ** (n - k) if k > 0 else 0.0
+    falling = (n - k) * wr**k * wl ** (n - k - 1) if k < n else 0.0
+    return float(binomial_row(n)[k] * (rising - falling) / dom.width)
+
+
+class TestScalarPins:
+    """``basis_value`` and ``basis_derivative`` equal their closed forms,
+    written out here, bit for bit at every degree and position, both ends,
+    random points and points past the ends."""
+
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    @pytest.mark.parametrize("route, closed_form", [
+        (basis_value, _value_closed_form),
+        (basis_derivative, _derivative_closed_form),
+    ], ids=["basis_value", "basis_derivative"])
+    def test_pins_closed_form(self, shift, route, closed_form):
+        cfg = make_config(*shift)
+        for n in range(1, MAX_DEGREE + 1):
+            params = [(t,) for t in point_params(domain(cfg, n), seed=n)]
+            for k in range(n + 1):
+                assert_pinned(
+                    lambda t, clamp: route(cfg, (n, k), t, clamp=clamp),
+                    lambda t, clamp: closed_form(cfg, n, k, t, clamp),
+                    params,
+                    f"degree {n}, position {k}",
+                )
 
 
 class TestBasisRow:
@@ -571,7 +608,11 @@ _CFG = make_config(4, 6)
 # each integer argument: the call, the error it raises, the values it accepts
 INTEGER_ARGUMENTS = {
     "domain": (lambda v: domain(_CFG, v), ConstraintError, ()),
-    "BasisIndex.k": (lambda v: BasisIndex(64, v), IndexError, (0,)),
+    "basis_value.k": (
+        lambda v: basis_value(_CFG, (64, v), domain(_CFG, 64).lo),
+        IndexError,
+        (0,),
+    ),
     "step_matrix": (
         lambda v: step_matrix(_CFG, 64, v, domain(_CFG, 64).lo),
         IndexError,
