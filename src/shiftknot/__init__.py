@@ -13,105 +13,21 @@ share across threads. The exact-arithmetic reference lives in
 ``shiftknot.oracle`` and is intentionally not re-exported here.
 """
 
-from .basis import (
-    MAX_DEGREE,
-    BasisIndex,
-    DomainInterval,
-    ShiftedKnotConfig,
-    basis_derivative,
-    basis_row,
-    basis_row_by_recurrence,
-    basis_rows,
-    basis_value,
-    basis_value_in_frame,
-    binomial_row,
-    domain,
-    make_config,
-)
-from .curve import (
-    Curve,
-    DeCasteljauTriangle,
-    decasteljau_triangle,
-    elevate,
-    elevate_many,
-    elevation_matrix,
-    endpoint_derivative,
-    eval_decasteljau,
-    eval_direct,
-    eval_matrix_form,
-    sample_curve,
-    step_matrix,
-)
-from .errors import ConstraintError, DomainError, GeometryError
-from .files import (
-    FileFormatError,
-    curve_to_json,
-    format_float,
-    load_curve,
-    load_patch,
-    parse_curve,
-    parse_patch,
-    patch_to_json,
-    save_curve,
-    save_patch,
-)
-from .surface import (
-    SurfacePatch,
-    elevate_patch,
-    eval_patch,
-    eval_patch_decasteljau,
-    isoparam_u,
-    isoparam_v,
-    sample_patch,
-)
+from . import basis, curve, errors, files, surface
+from .basis import *  # noqa: F403
+from .curve import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .files import *  # noqa: F403
+from .surface import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
-    "MAX_DEGREE",
-    "ShiftedKnotConfig",
-    "DomainInterval",
-    "BasisIndex",
-    "make_config",
-    "domain",
-    "binomial_row",
-    "basis_value",
-    "basis_row",
-    "basis_rows",
-    "basis_row_by_recurrence",
-    "basis_value_in_frame",
-    "basis_derivative",
-    "Curve",
-    "DeCasteljauTriangle",
-    "eval_direct",
-    "eval_decasteljau",
-    "eval_matrix_form",
-    "sample_curve",
-    "decasteljau_triangle",
-    "step_matrix",
-    "elevation_matrix",
-    "elevate",
-    "elevate_many",
-    "endpoint_derivative",
-    "SurfacePatch",
-    "eval_patch",
-    "eval_patch_decasteljau",
-    "sample_patch",
-    "isoparam_u",
-    "isoparam_v",
-    "elevate_patch",
-    "GeometryError",
-    "ConstraintError",
-    "DomainError",
-    "FileFormatError",
-    "format_float",
-    "curve_to_json",
-    "patch_to_json",
-    "parse_curve",
-    "parse_patch",
-    "load_curve",
-    "load_patch",
-    "save_curve",
-    "save_patch",
+    *basis.__all__,
+    *curve.__all__,
+    *surface.__all__,
+    *errors.__all__,
+    *files.__all__,
     "__version__",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "MAX_DEGREE",
     "ShiftedKnotConfig",
     "DomainInterval",
-    "BasisIndex",
     "make_config",
     "domain",
     "binomial_row",
@@ -161,11 +160,16 @@ class DomainInterval:
 
     def grid(self, count: int) -> np.ndarray:
         """Uniform samples including both endpoints exactly."""
-        if count < 2:
-            raise ConstraintError(f"sample count must be at least 2, got {count}")
-        ts = np.linspace(self.lo, self.hi, count)
-        ts[0] = self.lo  # linspace starts a -0.0 interval at +0.0
-        return ts
+        return _grid(self.lo, self.hi, count)
+
+
+def _grid(lo: float, hi: float, count: int) -> np.ndarray:
+    """``count`` uniform samples from ``lo`` to ``hi``, both bit for bit."""
+    if count < 2:
+        raise ConstraintError(f"sample count must be at least 2, got {count}")
+    ts = np.linspace(lo, hi, count)
+    ts[0] = lo  # linspace starts a -0.0 interval at +0.0
+    return ts
 
 
 def _check_int(value, lo: int, hi: int, what: str, error: type[Exception]) -> int:
@@ -200,25 +204,6 @@ def _domain(alpha: float, beta: float, n: int, alpha_sign: float) -> DomainInter
     return DomainInterval(alpha / denom, (n + alpha) / denom, n)
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Degree and position of one basis function, ``0 <= k <= n``."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        n = _check_int(self.n, 1, MAX_DEGREE, "degree", ConstraintError)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", _check_int(self.k, 0, n, "basis position", IndexError))
-
-
-def _as_index(idx) -> BasisIndex:
-    if isinstance(idx, BasisIndex):
-        return idx
-    return BasisIndex(*idx)
-
-
 @functools.lru_cache(maxsize=None)
 def binomial_row(n: int) -> np.ndarray:
     """Binomial coefficients C(n, 0..n), each the float nearest the exact
@@ -233,13 +218,11 @@ def binomial_row(n: int) -> np.ndarray:
 def basis_value(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = False) -> float:
     """Value of one shifted-knot Bernstein basis function.
 
-    ``idx`` is a :class:`BasisIndex` or an ``(n, k)`` pair. ``t`` must lie
+    ``idx`` is the ``(n, k)`` pair of degree and position. ``t`` must lie
     in the degree-n domain unless ``clamp=True``.
     """
-    idx = _as_index(idx)
-    dom = domain(config, idx.n)
-    wl, wr = dom.weights(dom.admit(t, clamp))
-    return float(binomial_row(idx.n)[idx.k] * wr**idx.k * wl ** (idx.n - idx.k))
+    n, k = idx
+    return basis_value_in_frame(config, n, n, k, t, clamp=clamp)
 
 
 def basis_row(config: ShiftedKnotConfig, n: int, t: float, *, clamp: bool = False) -> np.ndarray:
@@ -307,10 +290,11 @@ def basis_value_in_frame(
 
 def basis_derivative(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = False) -> float:
     """First derivative of one basis function, one-sided at the endpoints."""
-    idx = _as_index(idx)
-    dom = domain(config, idx.n)
+    n, k = idx
+    dom = domain(config, n)
+    n = dom.degree
+    k = _check_int(k, 0, n, "basis position", IndexError)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    n, k = idx.n, idx.k
     rising = k * wr ** (k - 1) * wl ** (n - k) if k > 0 else 0.0
     falling = (n - k) * wr**k * wl ** (n - k - 1) if k < n else 0.0
     return float(binomial_row(n)[k] * (rising - falling) / dom.width)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import basis_rows, domain, make_config
+from .basis import _grid, basis_rows, domain, make_config
 from .curve import (
     elevate_many,
     eval_decasteljau,
@@ -72,9 +72,7 @@ def _sample_grid(dom, samples: int, range_pair, clamp: bool) -> np.ndarray:
         else:
             rlo, rhi = dom.admit(rlo), dom.admit(rhi)
         lo, hi = rlo, rhi
-    ts = np.linspace(lo, hi, samples)
-    ts[0] = lo  # linspace starts a -0.0 interval at +0.0
-    return ts
+    return _grid(lo, hi, samples)
 
 
 def _json_value(value) -> str:

@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["GeometryError", "ConstraintError", "DomainError"]
+
 
 class GeometryError(ValueError):
     """Base class for all parameter and domain violations."""

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .errors import ConstraintError, DomainError
 
 __all__ = [
-    "RationalScalar",
     "check_shift",
     "domain_exact",
     "basis_value_exact",
@@ -32,10 +31,6 @@ __all__ = [
     "generate_fixtures",
     "write_fixtures",
 ]
-
-# Reduced numerator/denominator pair with positive denominator; the stdlib
-# type already guarantees both invariants.
-RationalScalar = Fraction
 
 DEFAULT_SEED = 20260816
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from shiftknot import (
     MAX_DEGREE,
-    BasisIndex,
     ConstraintError,
     Curve,
     DomainError,
@@ -197,10 +196,6 @@ class TestBasisValue:
             basis_value(make_config(0, 0), (3, 4), 0.5)
         with pytest.raises(IndexError):
             basis_value(make_config(0, 0), (3, -1), 0.5)
-
-    def test_index_object_accepted(self):
-        cfg = make_config(4, 6)
-        assert basis_value(cfg, BasisIndex(3, 1), 0.6) == basis_value(cfg, (3, 1), 0.6)
 
     @pytest.mark.parametrize("alpha,beta", [(4, 6), (1e3, 1e4), (1e8, 1e9)])
     def test_endpoints_interpolate_exactly(self, alpha, beta):
