@@ -98,6 +98,14 @@ def _number(data: dict, name: str) -> int | float:
     return value
 
 
+def _check_coordinates(points) -> None:
+    # bool is an int to Python but not a number to the schema
+    for p in points:
+        for c in p:
+            if isinstance(c, bool) or not isinstance(c, (int, float)):
+                raise FileFormatError(f"control coordinates must be numbers, got {json.dumps(c)}")
+
+
 def parse_curve(text: str) -> Curve:
     data = _load_dict(text)
     alpha = _number(data, "alpha")
@@ -108,6 +116,7 @@ def parse_curve(text: str) -> Curve:
         raise FileFormatError("field 'degree' must be an integer")
     if not isinstance(control, list) or not all(isinstance(p, list) for p in control):
         raise FileFormatError("field 'control' must be a list of points")
+    _check_coordinates(control)
     if len(control) != degree + 1:
         raise FileFormatError(
             f"degree {degree} needs {degree + 1} control points, file has {len(control)}"
@@ -127,8 +136,11 @@ def parse_patch(text: str) -> SurfacePatch:
         or any(isinstance(d, bool) or not isinstance(d, int) for d in degrees)
     ):
         raise FileFormatError("field 'degrees' must be a pair of integers")
-    if not isinstance(control, list) or not all(isinstance(r, list) for r in control):
+    if not isinstance(control, list) or not all(
+        isinstance(r, list) and all(isinstance(p, list) for p in r) for r in control
+    ):
         raise FileFormatError("field 'control' must be a list of point rows")
+    _check_coordinates(p for row in control for p in row)
     m, n = degrees
     if len(control) != m + 1 or any(len(row) != n + 1 for row in control):
         raise FileFormatError(

@@ -191,6 +191,27 @@ class TestCurveCommands:
         assert "JSON" in proc.stderr
 
 
+    @pytest.mark.parametrize("command", ["curve-eval", "surface-sample"])
+    @pytest.mark.parametrize("coordinate", ["true", "null", '"1"', "[1]"],
+                             ids=["bool", "null", "string", "nested"])
+    def test_non_number_coordinate_exits_two(self, tmp_path, coordinate, command):
+        bad = tmp_path / "bad.json"
+        if command == "curve-eval":
+            bad.write_text(
+                f'{{"alpha": 0, "beta": 0, "degree": 1, "control": [[{coordinate}, 1], [2, 3]]}}'
+            )
+        else:
+            bad.write_text(
+                '{"alpha": 0, "beta": 0, "degrees": [1, 1], "control":'
+                f' [[[0, 0, {coordinate}], [0, 1, 0]], [[1, 0, 0], [1, 1, 1]]]}}'
+            )
+        t = ["0.5"] if command == "curve-eval" else []
+        proc = run_cli(command, str(bad), *t, expect=2)
+        assert proc.stderr.startswith("shiftknot: error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "coordinates must be numbers" in proc.stderr
+
+
 # an integer literal beyond float range, such as a JSON file may hold
 HUGE = "1" + "0" * 400
 

@@ -107,6 +107,22 @@ class TestMalformedInput:
                 ' "control": [[[0, 0, 0], [0, 1, 0]]]}'
             )
 
+    @pytest.mark.parametrize("coordinate", ["true", "false", "null", '"1"', "[1]"])
+    def test_non_number_coordinate(self, coordinate):
+        with pytest.raises(FileFormatError, match="coordinates must be numbers"):
+            parse_curve(
+                f'{{"alpha": 0, "beta": 0, "degree": 1, "control": [[{coordinate}, 1], [2, 3]]}}'
+            )
+        with pytest.raises(FileFormatError, match="coordinates must be numbers"):
+            parse_patch(
+                '{"alpha": 0, "beta": 0, "degrees": [1, 1], "control":'
+                f' [[[0, 0, {coordinate}], [0, 1, 0]], [[1, 0, 0], [1, 1, 1]]]}}'
+            )
+
+    def test_patch_point_not_a_list(self):
+        with pytest.raises(FileFormatError, match="list of point rows"):
+            parse_patch('{"alpha": 0, "beta": 0, "degrees": [1, 1], "control": [[0, 1], [2, 3]]}')
+
     def test_invalid_shift_pair_surfaces_as_geometry_error(self):
         from shiftknot import GeometryError
 
