@@ -555,6 +555,44 @@ class TestSvgExtent:
         assert "finite pixels" in proc.stderr
 
 
+def _old_table(fmt, fields, columns, meta=()) -> str:
+    """A table as ``cli._table`` wrote it with one ``%`` per row."""
+    if fmt == "csv":
+        head = ",".join(name for name, _ in fields) + "\n"
+        row = ",".join(spec for _, spec in fields)
+        sep, tail = "\n", "\n"
+    else:
+        head = "{\n" + "".join(f' "{k}": {cli._json_value(v)},\n' for k, v in meta)
+        head += ' "samples": [\n  '
+        row = "{" + ", ".join(f'"{name}": {spec}' for name, spec in fields) + "}"
+        sep, tail = ",\n  ", "\n ]\n}\n"
+    return head + sep.join(row % r for r in zip(*(c.tolist() for c in columns))) + tail
+
+
+# signed zeros, subnormals, the ends of float range and whole numbers: the
+# values where a spec or a conversion that differs writes other bytes
+_TABLE_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                   2.0, -3.0, 1e16, 0.1, 1 / 3]
+
+
+class TestTablePins:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [2, 3, 5000])
+    def test_table_matches_the_per_row_expression(self, rows, fmt):
+        rng = np.random.default_rng(rows)
+        pool = np.concatenate([_TABLE_SPECIALS,
+                               rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)])
+        floats = rng.choice(pool, size=(rows, 6))
+        floats.flat[:len(_TABLE_SPECIALS)] = _TABLE_SPECIALS
+        # the commands' column kinds: grid-axis texts, the basis index k and
+        # strided float columns of one array
+        columns = (cli._axis_texts(floats[:, 0]), np.tile(np.arange(4), rows)[:rows],
+                   *floats.T)
+        fields = [("t", "%s"), ("k", "%d"), *((f"c{j}", "%.17g") for j in range(6))]
+        meta = [("degree", 3), ("alpha", -0.0), ("domain", (5e-324, 1e308))]
+        assert cli._table(fmt, fields, columns, meta) == _old_table(fmt, fields, columns, meta)
+
+
 # perfbench/spans.py times the CLI's layers by wrapping these module
 # attributes by name, and ``parse_args`` on the parser ``build_parser``
 # returns; a parser cache or an inlined call would silently break a metric.
@@ -603,6 +641,53 @@ class TestTracedWiring:
         for _ in range(2):
             assert _golden_digest(argv)[1] == 0
         assert calls == {"build_parser": 2, "parse_args": 2, _COMMANDS[argv[0]]: 2, "_emit": 2}
+
+
+# SHA-256 of ``--help`` at COLUMNS=80, as the parser built afresh on every
+# call printed it; argparse lays help out differently in other Python
+# versions, so the digests hold on 3.11 only
+_HELP_DIGESTS = {
+    "": "0cd56af2609faa8d67f98a42ff2a826c9b0691f61bdf8eb1138ecc79a190d241",
+    "basis": "4bfd951f746b3c49a00f55944c3b5b437484fa0fff83d807b10bafc15b6c6e16",
+    "curve-eval": "bdd6a30f38747979626ef5ff0d5d42c4bde5fd4c7665d059351cd58e1245f789",
+    "curve-sample": "1c93c61d74c61183cf9d9af37ec397c1bc3de0f04e92732d37d1ab918390fc1d",
+    "elevate": "8ea42c4057cc1cc6865ad276cdb26ee50275b9379a5a09a96e3c790086628b6f",
+    "surface-sample": "d8f427733bd5db0ef6092c48eb635cb9a917f27697a6727d41d02fe8805bdc84",
+}
+
+
+class TestParserContract:
+    def test_each_call_gets_its_own_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_bad_flag_leaves_no_trace(self, golden_dir, monkeypatch):
+        monkeypatch.chdir(golden_dir)
+        good = ["curve-sample", "quintic.json", "--samples", "7", "--format", "json"]
+        alone = _golden_digest(good)
+        for bad in (["curve-sample", "quintic.json", "--samples", "3", "--bogus"],
+                    ["curve-sample", "quintic.json", "--algorithm", "matrix", "--format", "yaml"]):
+            assert _golden_digest(bad)[1] == 2
+            assert _golden_digest(good) == alone
+
+    @pytest.mark.parametrize("command", list(_HELP_DIGESTS), ids=lambda c: c or "top")
+    def test_help_bytes(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        first, second = _golden_digest(argv), _golden_digest(argv)
+        assert first == second
+        assert first[1] == 0
+        if sys.version_info[:2] == (3, 11):
+            assert first[0] == _HELP_DIGESTS[command]
+
+    def test_commands_are_looked_up_per_call(self, golden_dir, monkeypatch):
+        monkeypatch.chdir(golden_dir)
+        argv = ["curve-sample", "quintic.json", "--samples", "3"]
+        assert _golden_digest(argv)[1] == 0
+        monkeypatch.setattr(cli, "cmd_curve_sample", lambda args: "patched\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue() == "patched\n"
 
 
 if __name__ == "__main__":
