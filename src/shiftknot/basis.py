@@ -105,9 +105,6 @@ class DomainInterval:
         object.__setattr__(self, "admit_lo", self.lo - slack)
         object.__setattr__(self, "admit_hi", self.hi + slack)
 
-    def clamp(self, t: float) -> float:
-        return min(max(float(t), self.lo), self.hi)
-
     def admit(self, t: float, clamp: bool = False) -> float:
         """Return ``t`` clipped into the interval, or raise ``DomainError``.
 
@@ -177,6 +174,8 @@ def _check_int(value, lo: int, hi: int, what: str, error: type[Exception]) -> in
 
     Bools and floats are rejected even when they equal an integer.
     """
+    if type(value) is int and lo <= value <= hi:
+        return value
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise error(f"{what} must be an integer, got {value!r}")
     value = int(value)

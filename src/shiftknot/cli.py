@@ -12,6 +12,8 @@ also reports with status 2).
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import math
 import sys
 from pathlib import Path
@@ -65,13 +67,9 @@ def _sample_grid(dom, samples: int, range_pair, clamp: bool) -> np.ndarray:
         rlo, rhi = float(range_pair[0]), float(range_pair[1])
         if not rlo < rhi:
             raise ConstraintError(f"--range start {rlo} must be below end {rhi}")
-        if clamp:
-            rlo, rhi = dom.clamp(rlo), dom.clamp(rhi)
-            if not rlo < rhi:
-                raise DomainError("--range does not intersect the valid domain")
-        else:
-            rlo, rhi = dom.admit(rlo), dom.admit(rhi)
-        lo, hi = rlo, rhi
+        lo, hi = dom.admit(rlo, clamp), dom.admit(rhi, clamp)
+        if not lo < hi:
+            raise DomainError("--range does not intersect the valid domain")
     return _grid(lo, hi, samples)
 
 
@@ -92,7 +90,8 @@ def _table(fmt: str, fields, columns, meta=()) -> str:
     written by the printf spec that ``fields`` pairs with its column name.
 
     CSV is a header line then the rows; JSON is an object holding the
-    ``meta`` (name, value) entries, then the rows as ``"samples"``.
+    ``meta`` (name, value) entries, then the rows as ``"samples"``. The
+    body is one ``%`` over the row spec repeated once per row.
     """
     if fmt == "csv":
         head = ",".join(name for name, _ in fields) + "\n"
@@ -103,7 +102,10 @@ def _table(fmt: str, fields, columns, meta=()) -> str:
         head += ' "samples": [\n  '
         row = "{" + ", ".join(f'"{name}": {spec}' for name, spec in fields) + "}"
         sep, tail = ",\n  ", "\n ]\n}\n"
-    return head + sep.join(row % r for r in zip(*(c.tolist() for c in columns))) + tail
+    values = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        values[:, j] = column
+    return head + sep.join([row] * len(values)) % tuple(values.ravel().tolist()) + tail
 
 
 def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
@@ -294,7 +296,8 @@ def _add_format(parser, *, default_samples: int, with_range: bool = True) -> Non
                             help="custom sample interval (must lie in the domain unless --clamp)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser_prototype() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftknot",
         description="Sample shifted-knot Bernstein bases, Bezier curves and patches.",
@@ -306,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--degree", type=int, required=True)
     _add_format(p, default_samples=200)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("curve-eval", help="evaluate a curve file at one parameter")
     p.add_argument("file", help="curve JSON file")
@@ -314,34 +316,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=tuple(_EVALUATORS), default="direct")
     p.add_argument("--clamp", action="store_true")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_curve_eval)
 
     p = sub.add_parser("curve-sample", help="sample a curve file over its domain")
     p.add_argument("file", help="curve JSON file")
     p.add_argument("--algorithm", choices=tuple(_EVALUATORS), default="direct")
     _add_format(p, default_samples=200)
-    p.set_defaults(func=cmd_curve_sample)
 
     p = sub.add_parser("elevate", help="degree-elevate a curve file")
     p.add_argument("file", help="curve JSON file")
     p.add_argument("--levels", type=int, default=1, help="how many times to elevate")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_elevate)
 
     p = sub.add_parser("surface-sample", help="sample a patch file over its domains")
     p.add_argument("file", help="patch JSON file")
     p.add_argument("--drop-axis", choices=("x", "y", "z"), default="z",
                    help="axis removed by the SVG orthographic projection")
     _add_format(p, default_samples=20, with_range=False)
-    p.set_defaults(func=cmd_surface_sample)
 
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: a shallow copy of one built on first use,
+    so each call returns its own top-level object. The copies share their
+    arguments and subcommands; add none to them."""
+    return copy.copy(_parser_prototype())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a wrapper bound to the module attribute runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        text = args.func(args)
+        text = command(args)
         _emit(text, getattr(args, "output", None))
         return 0
     except FileFormatError as exc:

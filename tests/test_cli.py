@@ -296,6 +296,17 @@ class TestArgumentErrors:
         )
         assert "--samples" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["basis", "curve-sample"])
+    def test_infinite_range_end_with_clamp_exits_one(self, command, curve_file):
+        # --clamp pulls finite values only, as curve-eval's does
+        argv = (["basis", "--alpha", "4", "--beta", "6", "--degree", "3"]
+                if command == "basis" else ["curve-sample", curve_file])
+        proc = run_cli(*argv, "--samples", "2", "--range", "0.1", "inf", "--clamp", expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("shiftknot: error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "finite" in proc.stderr
+
     def test_output_to_unwritable_path(self, curve_file):
         proc = run_cli(
             "curve-sample", curve_file, "--samples", "3",
@@ -595,7 +606,10 @@ class TestTablePins:
 
 # perfbench/spans.py times the CLI's layers by wrapping these module
 # attributes by name, and ``parse_args`` on the parser ``build_parser``
-# returns; a parser cache or an inlined call would silently break a metric.
+# returns. ``build_parser()`` returns a fresh top-level object on every call
+# and ``main`` looks each ``cmd_*`` up when it is called; a parser handed out
+# twice or a command bound when the parser was built would silently break a
+# metric.
 _COMMANDS = {
     "basis": "cmd_basis",
     "curve-eval": "cmd_curve_eval",
