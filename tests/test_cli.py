@@ -109,6 +109,15 @@ class TestBasisCommand:
         assert min(ts) == pytest.approx(4 / 9)
         assert max(ts) == pytest.approx(7 / 9)
 
+    @pytest.mark.parametrize("clamp", [[], ["--clamp"]], ids=["strict", "clamp"])
+    def test_range_admitted_to_one_point_exits_one(self, clamp):
+        # both ends admitted, each clipped to the domain's upper end 7/9
+        proc = run_cli(
+            "basis", "--alpha", "4", "--beta", "6", "--degree", "3",
+            "--range", "0.7777777777777778", "0.7777777777777779", *clamp, expect=1,
+        )
+        assert proc.stderr == "shiftknot: error: --range does not intersect the valid domain\n"
+
     def test_invalid_shift_pair_exits_one(self):
         proc = run_cli("basis", "--alpha", "6", "--beta", "4", "--degree", "3", expect=1)
         assert "alpha" in proc.stderr
