@@ -102,9 +102,7 @@ def _table(fmt: str, fields, columns, meta=()) -> str:
         head += ' "samples": [\n  '
         row = "{" + ", ".join(f'"{name}": {spec}' for name, spec in fields) + "}"
         sep, tail = ",\n  ", "\n ]\n}\n"
-    values = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for j, column in enumerate(columns):
-        values[:, j] = column
+    values = np.array(columns, dtype=object).T
     return head + sep.join([row] * len(values)) % tuple(values.ravel().tolist()) + tail
 
 
