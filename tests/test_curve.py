@@ -292,6 +292,30 @@ class TestDirectRoutePins:
             )
 
 
+class TestPyramidRoutePins:
+    """``eval_decasteljau`` returns, bit for bit, the one-sample kernel call
+    at its parameter."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_point_matches_one_sample_kernel_call(self, shift, dim):
+        for curve, _ in pinned_curves(*shift, dim):
+            dom = curve.domain
+
+            def reference(t, clamp):
+                wl, wr = dom.weights(dom.admit(t, clamp))
+                return _kernels.decasteljau_batch(
+                    curve.control, np.array([wl]), np.array([wr])
+                )[0]
+
+            assert_pinned(
+                lambda t, clamp: eval_decasteljau(curve, t, clamp=clamp),
+                reference,
+                [(t,) for t in point_params(dom, seed=curve.degree)],
+                f"degree {curve.degree}",
+            )
+
+
 class TestTriangle:
     def test_structure(self):
         tri = decasteljau_triangle(parabola_curve(), 0.6)

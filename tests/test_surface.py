@@ -42,6 +42,34 @@ def bilinear_patch():
     return SurfacePatch(make_config(4, 6), BILINEAR)
 
 
+def _stencil_loop(patch, u, v, *, clamp=False):
+    """The bidirectional pyramid as one seven-term expression per level,
+    then a one-directional loop along the longer direction."""
+    m, n = patch.degrees
+    dom_u, dom_v = patch.domain_u, patch.domain_v
+    u = dom_u.admit(u, clamp)
+    v = dom_v.admit(v, clamp)
+    wlu, wru = dom_u.weights(u)
+    wlv, wrv = dom_v.weights(v)
+    work = patch.net
+    for _ in range(min(m, n)):
+        work = (
+            (wlu * wlv) * work[:-1, :-1]
+            + (wlu * wrv) * work[:-1, 1:]
+            + (wru * wlv) * work[1:, :-1]
+            + (wru * wrv) * work[1:, 1:]
+        )
+    if m > n:
+        poly, wl, wr = work[:, 0, :], wlu, wru
+    elif n > m:
+        poly, wl, wr = work[0, :, :], wlv, wrv
+    else:
+        return work[0, 0]
+    for _ in range(abs(m - n)):
+        poly = wl * poly[:-1] + wr * poly[1:]
+    return poly[0]
+
+
 class TestPatchContainer:
     def test_properties(self):
         p = bilinear_patch()
@@ -269,6 +297,43 @@ class TestPointRoutePins:
                 [(u,) for u in point_params(p.domain_u, seed=m)],
                 f"isoparam_v, degrees {(m, n)}",
             )
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_pyramid_matches_stencil_loop(self, shift, dim):
+        rng = np.random.default_rng(dim)
+        cfg = make_config(*shift)
+        small = [random_patch(rng, m=m, n=n, dim=dim, config=cfg)
+                 for m in range(1, 7) for n in range(1, 7)]
+        for p in [*pinned_patches(*shift, dim), *small]:
+            (m, n) = p.degrees
+            us, vs = point_params(p.domain_u, seed=m), point_params(p.domain_v, seed=n)
+            assert_pinned(
+                lambda u, v, clamp: eval_patch_decasteljau(p, u, v, clamp=clamp),
+                lambda u, v, clamp: _stencil_loop(p, u, v, clamp=clamp),
+                [*zip(us, vs), *zip(us, vs[::-1])],
+                f"degrees {(m, n)}",
+            )
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2), (3, 3)])
+    def test_pyramid_keeps_signed_zeros(self, m, n):
+        # corner weights multiply negative entries by 0 to -0.0, so only
+        # additions in the stencil's own order keep the sign of zero
+        rng = np.random.default_rng(m * 7 + n)
+        net = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(m + 1, n + 1, 3))
+        net[..., 0] = -0.0
+        net[..., 1] = -rng.uniform(size=(m + 1, n + 1))
+        p = SurfacePatch(make_config(4, 6), net)
+        dom_u, dom_v = p.domain_u, p.domain_v
+        corners = [(u, v) for u in (dom_u.lo, dom_u.hi) for v in (dom_v.lo, dom_v.hi)]
+        assert_pinned(
+            lambda u, v, clamp: eval_patch_decasteljau(p, u, v, clamp=clamp),
+            lambda u, v, clamp: _stencil_loop(p, u, v, clamp=clamp),
+            corners,
+            f"degrees {(m, n)}",
+        )
+        assert np.signbit(eval_patch_decasteljau(p, dom_u.lo, dom_v.lo)[0])
 
 
 class TestPatchElevation:
