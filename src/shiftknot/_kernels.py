@@ -1,9 +1,12 @@
-"""Batch evaluation kernels.
+"""Evaluation kernels for one parameter or many.
 
 Kernels do no validation: callers pass the normalized convex pair
 ``(wl, wr)`` of parameters already clamped into the valid domain (see
 :meth:`shiftknot.basis.DomainInterval.weights`) and a precomputed binomial
-row.
+row. The weights are either two floats, for one parameter, or two 1-D
+arrays of equal length, one entry per sample; a float pair gives the
+result of a one-element array pair with the sample axis dropped, bit for
+bit.
 """
 
 import numpy as np
@@ -26,29 +29,35 @@ _POWERS.setflags(write=False)
 
 
 def basis_rows_batch(wl, wr, binom):
-    """All basis values of one degree at every sample, shape (len(wl), n+1).
+    """All basis values of one degree: shape ``(n+1,)`` for float weights,
+    ``(len(wl), n+1)`` for arrays.
 
     Entry ``[s, k]`` is ``binom[k] * wr[s]**k * wl[s]**(n - k)``.
     """
     n = binom.shape[0] - 1
-    return binom * wr[:, None] ** _POWERS[: n + 1] * wl[:, None] ** _POWERS[n::-1]
+    if isinstance(wl, np.ndarray):
+        wl, wr = wl[:, None], wr[:, None]
+    return binom * wr ** _POWERS[: n + 1] * wl ** _POWERS[n::-1]
 
 
 def decasteljau_batch(control, wl, wr):
-    """Pyramid collapse of one control polygon at many parameters.
+    """Pyramid collapse of one control polygon: shape ``(dim,)`` for float
+    weights, ``(len(wl), dim)`` for arrays.
 
-    ``wl``/``wr`` are the per-sample left/right convex weights; they stay
-    constant across pyramid levels. Returns shape ``(len(wl), dim)``.
-
-    The levels are updated in place in a ``(rows, dim, samples)`` buffer,
-    so each weight runs along contiguous memory; every level computes
-    ``(wl * left) + (wr * right)``, the same float operations as
+    ``wl``/``wr`` are the left/right convex weights; they stay constant
+    across pyramid levels. The levels are updated in place in a
+    ``(rows, dim)`` buffer for floats and a ``(rows, dim, samples)`` one
+    for arrays, so each weight runs along contiguous memory; every level
+    computes ``(wl * left) + (wr * right)``, the same float operations as
     :func:`shiftknot.curve.decasteljau_triangle`.
     """
     rows, dim = control.shape
-    work = np.empty((rows, dim, wl.shape[0]))
-    work[...] = control[:, :, None]
-    right = np.empty((rows - 1, dim, wl.shape[0]))
+    if isinstance(wl, np.ndarray):
+        work = np.empty((rows, dim, wl.shape[0]))
+        work[...] = control[:, :, None]
+    else:
+        work = control.copy()
+    right = np.empty_like(work[1:])
     for m in range(rows - 1, 0, -1):
         left, scaled = work[:m], right[:m]
         np.multiply(wr, work[1 : m + 1], out=scaled)

@@ -228,7 +228,7 @@ def basis_row(config: ShiftedKnotConfig, n: int, t: float, *, clamp: bool = Fals
     """All ``n + 1`` basis values at one parameter, in index order."""
     dom = domain(config, n)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return _kernels.basis_rows_batch(np.array([wl]), np.array([wr]), binomial_row(dom.degree))[0]
+    return _kernels.basis_rows_batch(wl, wr, binomial_row(dom.degree))
 
 
 def basis_rows(config: ShiftedKnotConfig, n: int, ts, *, clamp: bool = False) -> np.ndarray:

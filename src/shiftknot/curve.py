@@ -111,7 +111,7 @@ def eval_decasteljau(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarr
     """Collapse the control polygon by repeated convex combination."""
     dom = curve.domain
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return _kernels.decasteljau_batch(curve.control, np.array([wl]), np.array([wr]))[0]
+    return _kernels.decasteljau_batch(curve.control, wl, wr)
 
 
 def eval_matrix_form(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:

@@ -116,9 +116,12 @@ def eval_patch_decasteljau(
 ) -> np.ndarray:
     """Collapse the net with bidirectional convex steps.
 
-    Runs ``min(m, n)`` simultaneous 2x2 stencil steps; if the degrees
-    differ, the surviving polygon along the longer direction is finished
-    with one-directional steps using that direction's weights.
+    Runs ``min(m, n)`` simultaneous 2x2 stencil steps. Each step weighs a
+    strided ``(2, 2, r-1, c-1, dim)`` view, which holds the four neighbours
+    of every point, and adds the four terms in the order ``ll, lr, rl, rr``.
+    If the degrees differ, :func:`_kernels.decasteljau_batch` finishes the
+    surviving polygon along the longer direction with that direction's
+    weights.
     """
     m, n = patch.degrees
     dom_u, dom_v = patch.domain_u, patch.domain_v
@@ -126,20 +129,20 @@ def eval_patch_decasteljau(
     v = dom_v.admit(v, clamp)
     wlu, wru = dom_u.weights(u)
     wlv, wrv = dom_v.weights(v)
+    stencil = np.array([wlu * wlv, wlu * wrv, wru * wlv, wru * wrv]).reshape(2, 2, 1, 1, 1)
     work = patch.net
     for _ in range(min(m, n)):
-        work = (
-            (wlu * wlv) * work[:-1, :-1]
-            + (wlu * wrv) * work[:-1, 1:]
-            + (wru * wlv) * work[1:, :-1]
-            + (wru * wrv) * work[1:, 1:]
+        rows, cols, dim = work.shape
+        row, col, coord = work.strides
+        corners = np.ndarray(
+            (2, 2, rows - 1, cols - 1, dim), buffer=work, strides=(row, col, row, col, coord)
         )
+        terms = (stencil * corners).reshape(4, rows - 1, cols - 1, dim)
+        # -0.0 adds nothing to any term, where add.reduce's default start of
+        # +0.0 would turn a sum of -0.0 terms into +0.0
+        work = np.add.reduce(terms, axis=0, initial=-0.0)
     if m > n:
-        poly, wl, wr = work[:, 0, :], wlu, wru
-    elif n > m:
-        poly, wl, wr = work[0, :, :], wlv, wrv
-    else:
-        return work[0, 0]
-    for _ in range(abs(m - n)):
-        poly = wl * poly[:-1] + wr * poly[1:]
-    return poly[0]
+        return _kernels.decasteljau_batch(work[:, 0, :], wlu, wru)
+    if n > m:
+        return _kernels.decasteljau_batch(work[0], wlv, wrv)
+    return work[0, 0]

@@ -67,6 +67,16 @@ class TestNumpyVariants:
             assert_bits_equal(a, before)
             assert not np.shares_memory(got, a)
 
+    def test_float_weights_leave_read_only_control_alone(self):
+        rng = np.random.default_rng(4)
+        control = rng.uniform(-5, 5, size=(9, 3))
+        before = control.copy()
+        control.setflags(write=False)
+        got = _kernels.decasteljau_batch(control, 0.25, 0.75)
+        assert got.shape == (3,)
+        assert_bits_equal(control, before)
+        assert not np.shares_memory(got, control)
+
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("shift", PIN_SHIFTS)
     def test_decasteljau_batch_pins_triangle_apex(self, shift, dim):
@@ -75,6 +85,26 @@ class TestNumpyVariants:
             got = _kernels.decasteljau_batch(curve.control, *curve.domain.weights(ts))
             want = np.array([decasteljau_triangle(curve, t).apex for t in ts])
             assert_bits_equal(got, want, f"degree {curve.degree}")
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_float_weights_match_one_sample_arrays(self, dim):
+        # bit for bit, at every degree up to MAX_DEGREE, with both ends
+        rng = np.random.default_rng(dim)
+        for n in range(1, MAX_DEGREE + 1):
+            control = rng.uniform(-5, 5, size=(n + 1, dim))
+            for wr in [0.0, 1.0, *rng.uniform(size=5).tolist()]:
+                wl = 1.0 - wr
+                arrays = np.array([wl]), np.array([wr])
+                assert_bits_equal(
+                    _kernels.basis_rows_batch(wl, wr, binomial_row(n)),
+                    _kernels.basis_rows_batch(*arrays, binomial_row(n))[0],
+                    f"rows, degree {n}, wr {wr!r}",
+                )
+                assert_bits_equal(
+                    _kernels.decasteljau_batch(control, wl, wr),
+                    _kernels.decasteljau_batch(control, *arrays)[0],
+                    f"pyramid, degree {n}, wr {wr!r}",
+                )
 
     def test_patch_grid_matches_einsum(self):
         rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shiftknot import _kernels
 from shiftknot import (
     ConstraintError,
     Curve,
@@ -210,6 +211,16 @@ class TestPyramidEvaluation:
                     ).max()
                     worst = max(worst, diff)
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("m, n, calls", [(3, 3, 0), (2, 5, 1), (5, 2, 1), (1, 1, 0)])
+    def test_tail_goes_through_the_kernel_once(self, monkeypatch, m, n, calls):
+        seen = []
+        kernel = _kernels.decasteljau_batch
+        monkeypatch.setattr(_kernels, "decasteljau_batch",
+                            lambda *args: seen.append(args) or kernel(*args))
+        p = random_patch(np.random.default_rng(m * 7 + n), m=m, n=n)
+        eval_patch_decasteljau(p, p.domain_u.lo, p.domain_v.hi)
+        assert len(seen) == calls
 
     def test_corner_exactness(self):
         p = bilinear_patch()
