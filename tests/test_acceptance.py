@@ -9,8 +9,6 @@ figure-producing CLI path. Each check prints one verdict line; run with
 """
 
 import json
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -47,6 +45,7 @@ from _helpers import (
     random_config,
     random_curve,
     random_patch,
+    run_shiftknot,
 )
 
 
@@ -355,11 +354,7 @@ def test_acceptance_8_exact_reference_agreement(oracle_fixtures):
 
 def test_acceptance_9_cli_basis_figure():
     def run(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "shiftknot", *argv],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_shiftknot(*argv)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 

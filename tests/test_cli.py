@@ -11,7 +11,6 @@ import io
 import json
 import math
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -21,13 +20,11 @@ import pytest
 from shiftknot import Curve, SurfacePatch, make_config, save_curve, save_patch
 from shiftknot import cli
 
+from _helpers import run_shiftknot
+
 
 def run_cli(*argv, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftknot", *argv],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_shiftknot(*argv)
     assert proc.returncode == expect, (proc.returncode, proc.stderr)
     return proc
 
@@ -284,18 +281,13 @@ class TestSurfaceCommand:
 
 class TestArgumentErrors:
     def test_no_command(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "shiftknot"], capture_output=True, text=True
-        )
+        proc = run_shiftknot()
         assert proc.returncode == 2
 
     def test_unknown_format_rejected_by_argparse(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "shiftknot", "basis", "--alpha", "0", "--beta", "0",
-             "--degree", "2", "--format", "yaml"],
-            capture_output=True,
-            text=True,
-            )
+        proc = run_shiftknot(
+            "basis", "--alpha", "0", "--beta", "0", "--degree", "2", "--format", "yaml"
+        )
         assert proc.returncode == 2
 
     def test_too_few_samples(self):
