@@ -57,12 +57,14 @@ def decasteljau_batch(control, wl, wr):
         work[...] = control[:, :, None]
     else:
         work = control.copy()
+        # as 0-d arrays, the weights are not converted again on every level
+        wl, wr = np.array(wl), np.array(wr)
     right = np.empty_like(work[1:])
     for m in range(rows - 1, 0, -1):
         left, scaled = work[:m], right[:m]
-        np.multiply(wr, work[1 : m + 1], out=scaled)
-        np.multiply(wl, left, out=left)
-        np.add(left, scaled, out=left)
+        np.multiply(wr, work[1 : m + 1], scaled)
+        left *= wl
+        left += scaled
     return np.ascontiguousarray(work[0].T)
 
 

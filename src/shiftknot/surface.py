@@ -134,10 +134,13 @@ def eval_patch_decasteljau(
     for _ in range(min(m, n)):
         rows, cols, dim = work.shape
         row, col, coord = work.strides
+        # shape, dtype, buffer, offset, strides: positional, as keywords cost
+        # more per call
         corners = np.ndarray(
-            (2, 2, rows - 1, cols - 1, dim), buffer=work, strides=(row, col, row, col, coord)
+            (2, 2, rows - 1, cols - 1, dim), float, work, 0, (row, col, row, col, coord)
         )
-        terms = (stencil * corners).reshape(4, rows - 1, cols - 1, dim)
+        # C order makes the reshape to the four terms a view, not a copy
+        terms = np.multiply(stencil, corners, order="C").reshape(4, rows - 1, cols - 1, dim)
         # -0.0 adds nothing to any term, where add.reduce's default start of
         # +0.0 would turn a sum of -0.0 terms into +0.0
         work = np.add.reduce(terms, axis=0, initial=-0.0)

@@ -327,14 +327,34 @@ class TestPointRoutePins:
                 f"degrees {(m, n)}",
             )
 
+    @pytest.mark.parametrize("layout", ["fortran", "permuted"])
+    def test_pyramid_reads_any_memory_layout(self, layout):
+        # the stencil views the net's memory through its strides
+        rng = np.random.default_rng(5)
+        net = rng.uniform(-5, 5, size=(4, 6, 3))
+        if layout == "fortran":
+            net = np.asfortranarray(net)
+        else:
+            net = np.ascontiguousarray(net.transpose(2, 1, 0)).transpose(2, 1, 0)
+        p = SurfacePatch(make_config(4, 6), net)
+        assert not p.net.flags.c_contiguous
+        us, vs = point_params(p.domain_u, seed=3), point_params(p.domain_v, seed=5)
+        assert_pinned(
+            lambda u, v, clamp: eval_patch_decasteljau(p, u, v, clamp=clamp),
+            lambda u, v, clamp: _stencil_loop(p, u, v, clamp=clamp),
+            [*zip(us, vs), *zip(us, vs[::-1])],
+            layout,
+        )
+
+    @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2), (3, 3)])
-    def test_pyramid_keeps_signed_zeros(self, m, n):
+    def test_pyramid_keeps_signed_zeros(self, m, n, dim):
         # corner weights multiply negative entries by 0 to -0.0, so only
         # additions in the stencil's own order keep the sign of zero
         rng = np.random.default_rng(m * 7 + n)
-        net = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(m + 1, n + 1, 3))
+        net = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(m + 1, n + 1, dim))
         net[..., 0] = -0.0
-        net[..., 1] = -rng.uniform(size=(m + 1, n + 1))
+        net[..., 1:] = -rng.uniform(size=(m + 1, n + 1, dim - 1))
         p = SurfacePatch(make_config(4, 6), net)
         dom_u, dom_v = p.domain_u, p.domain_v
         corners = [(u, v) for u in (dom_u.lo, dom_u.hi) for v in (dom_v.lo, dom_v.hi)]
