@@ -130,7 +130,9 @@ def eval_patch_decasteljau(
     wlu, wru = dom_u.weights(u)
     wlv, wrv = dom_v.weights(v)
     stencil = np.array([wlu * wlv, wlu * wrv, wru * wlv, wru * wrv]).reshape(2, 2, 1, 1, 1)
-    work = patch.net
+    # the ndarray constructor takes a contiguous buffer only; a frozen net
+    # keeps its caller's memory order, which may be neither C nor F
+    work = np.ascontiguousarray(patch.net)
     for _ in range(min(m, n)):
         rows, cols, dim = work.shape
         row, col, coord = work.strides

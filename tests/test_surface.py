@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -327,24 +329,39 @@ class TestPointRoutePins:
                 f"degrees {(m, n)}",
             )
 
-    @pytest.mark.parametrize("layout", ["fortran", "permuted"])
-    def test_pyramid_reads_any_memory_layout(self, layout):
-        # the stencil views the net's memory through its strides
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(range(3))), ids=lambda o: "".join(map(str, o))
+    )
+    def test_pyramid_reads_any_memory_layout(self, order):
+        # the net's axes laid out in memory in every order: C, F and the
+        # four that are neither, such as swapped u/v axes
         rng = np.random.default_rng(5)
         net = rng.uniform(-5, 5, size=(4, 6, 3))
-        if layout == "fortran":
-            net = np.asfortranarray(net)
-        else:
-            net = np.ascontiguousarray(net.transpose(2, 1, 0)).transpose(2, 1, 0)
+        net = np.ascontiguousarray(net.transpose(order)).transpose(np.argsort(order))
         p = SurfacePatch(make_config(4, 6), net)
-        assert not p.net.flags.c_contiguous
+        assert p.net.strides == net.strides
         us, vs = point_params(p.domain_u, seed=3), point_params(p.domain_v, seed=5)
         assert_pinned(
             lambda u, v, clamp: eval_patch_decasteljau(p, u, v, clamp=clamp),
             lambda u, v, clamp: _stencil_loop(p, u, v, clamp=clamp),
             [*zip(us, vs), *zip(us, vs[::-1])],
-            layout,
+            f"axis order {order}",
         )
+
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_pyramid_reads_elevated_nets(self, shift):
+        # elevate_patch builds its net with einsum, not from caller input
+        rng = np.random.default_rng(11)
+        cfg = make_config(*shift)
+        for m, n in [(1, 1), (1, 3), (3, 1), (2, 4), (5, 5)]:
+            p = elevate_patch(random_patch(rng, m=m, n=n, dim=3, config=cfg))
+            us, vs = point_params(p.domain_u, seed=m), point_params(p.domain_v, seed=n)
+            assert_pinned(
+                lambda u, v, clamp: eval_patch_decasteljau(p, u, v, clamp=clamp),
+                lambda u, v, clamp: _stencil_loop(p, u, v, clamp=clamp),
+                [*zip(us, vs), *zip(us, vs[::-1])],
+                f"elevated from degrees {(m, n)}",
+            )
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2), (3, 3)])
