@@ -433,6 +433,13 @@ def _golden_matrix() -> list[list[str]]:
               for fmt in ("csv", "json", "svg")]
     cases += [["curve-sample", name, "--samples", "5000", "--format", "svg"]
               for name in ("line.json", "quintic.json")]
+    # the benchmark's CSV and JSON tables: both curve routes and the basis
+    cases += [
+        ["curve-sample", "quintic.json", "--samples", "5000", "--format", "csv"],
+        ["curve-sample", "quintic.json", "--samples", "5000", "--algorithm", "decasteljau",
+         "--format", "json"],
+        [*basis, "--format", "json"],
+    ]
     return cases
 
 
