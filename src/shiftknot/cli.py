@@ -79,10 +79,36 @@ def _json_value(value) -> str:
     return str(value) if isinstance(value, int) else format_float(value)
 
 
+# ---------------------------------------------------------------------------
+# table cells: the text of each value as one row of NUL-padded ASCII bytes
+
+# Table rows formatted per block, which bounds the cell kernel's temporaries.
+# The kernel, shiftknot._cells, is imported by the first table written: the
+# library routes and the SVG output never compile it.
+_BLOCK_ROWS = 1024
+
+
+def _text_column(column, spec: str) -> np.ndarray:
+    """``spec % v`` of each entry of ``column``, as a ``U`` array.
+
+    ``%s`` columns are texts already, such as :func:`_axis_texts` repeated;
+    other specs format each distinct entry once.
+    """
+    if spec == "%s":
+        return np.ascontiguousarray(column, dtype=str)
+    values, which = np.unique(column, return_inverse=True)
+    return np.array([spec % v for v in values.tolist()])[which]
+
+
 def _axis_texts(values: np.ndarray) -> np.ndarray:
     """``FLOAT_SPEC`` text of each grid-axis value, formatted once, for
     ``np.repeat``/``np.tile`` into a table column written by ``%s``."""
-    return np.array([FLOAT_SPEC % v for v in values.tolist()], dtype=object)
+    from ._cells import float_cells
+
+    cells = float_cells(values)
+    # the cells are left-justified: keep the columns that any text reaches
+    width = max(int(np.count_nonzero(cells.any(axis=0))), 1)
+    return cells[:, :width].astype(np.uint32).view(f"U{width}")[:, 0]
 
 
 def _table(fmt: str, fields, columns, meta=()) -> str:
@@ -91,19 +117,66 @@ def _table(fmt: str, fields, columns, meta=()) -> str:
 
     CSV is a header line then the rows; JSON is an object holding the
     ``meta`` (name, value) entries, then the rows as ``"samples"``. The
-    body is one ``%`` over the row spec repeated once per row.
+    body is built a block of rows at a time as one ``uint8`` matrix: the
+    separators are constant columns, each value a cell from
+    :func:`shiftknot._cells.float_cells` or
+    :func:`_text_column`, and the NUL padding is
+    dropped when the block becomes bytes.
+
+    Raises ``ConstraintError`` when a ``FLOAT_SPEC`` column holds a
+    non-finite value, which neither format can carry.
     """
+    from ._cells import CELL, float_cells
+
+    names = [name for name, _ in fields]
+    specs = [spec for _, spec in fields]
     if fmt == "csv":
-        head = ",".join(name for name, _ in fields) + "\n"
-        row = ",".join(spec for _, spec in fields)
+        head = ",".join(names) + "\n"
+        literals = ["", *[","] * (len(fields) - 1), "\n"]
         sep, tail = "\n", "\n"
     else:
         head = "{\n" + "".join(f' "{k}": {_json_value(v)},\n' for k, v in meta)
         head += ' "samples": [\n  '
-        row = "{" + ", ".join(f'"{name}": {spec}' for name, spec in fields) + "}"
+        literals = [f'{{"{names[0]}": ', *(f', "{name}": ' for name in names[1:]), "},\n  "]
         sep, tail = ",\n  ", "\n ]\n}\n"
-    values = np.array(columns, dtype=object).T
-    return head + sep.join([row] * len(values)) % tuple(values.ravel().tolist()) + tail
+    floats = {j: np.asarray(col, dtype=np.float64)
+              for j, (col, spec) in enumerate(zip(columns, specs)) if spec == FLOAT_SPEC}
+    for j, col in floats.items():
+        finite = np.isfinite(col)
+        if not finite.all():
+            raise ConstraintError(f"{fmt.upper()} output cannot carry the non-finite value"
+                                  f" {float(col[~finite][0])!r} in column {names[j]!r}")
+    texts = {j: _text_column(col, spec)
+             for j, (col, spec) in enumerate(zip(columns, specs)) if j not in floats}
+    # one row: the literals, with the cell of each column between two of them;
+    # a text cell is the column's UCS-4 code units, of ASCII characters
+    widths = [CELL if j in floats else texts[j].itemsize // 4 for j in range(len(specs))]
+    starts, template = [], literals[0].encode()
+    for width, literal in zip(widths, literals[1:]):
+        starts.append(len(template))
+        template += bytes(width) + literal.encode()
+    rows = len(columns[0])
+    block = np.empty((min(rows, _BLOCK_ROWS), len(template)), dtype=np.uint8)
+    block[:] = np.frombuffer(template, dtype=np.uint8)
+    parts = [head.encode()]
+    for lo in range(0, rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, rows)
+        part = block[: hi - lo]
+        if floats:
+            values = np.stack([col[lo:hi] for col in floats.values()], axis=1)
+            cells = float_cells(values.ravel()).reshape(hi - lo, len(floats), CELL)
+            for k, j in enumerate(floats):
+                part[:, starts[j] : starts[j] + CELL] = cells[:, k]
+        for j, col in texts.items():
+            part[:, starts[j] : starts[j] + widths[j]] = col[lo:hi].view(np.uint32).reshape(
+                hi - lo, widths[j])
+        parts.append(part.tobytes().translate(None, b"\0"))
+    if rows:
+        parts[-1] = parts[-1][: -len(sep)]
+    parts.append(tail.encode())
+    data = b"".join(parts)
+    del parts
+    return data.decode("ascii")
 
 
 def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
@@ -122,8 +195,9 @@ def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
     xmax += 0.05 * spanx
     ymin -= 0.05 * spany
     ymax += 0.05 * spany
-    sx = width / (xmax - xmin)
-    sy = height / (ymax - ymin)
+    # a flat extent at a large magnitude absorbs its padding: no finite scale
+    sx = width / (xmax - xmin) if xmax > xmin else math.inf
+    sy = height / (ymax - ymin) if ymax > ymin else math.inf
     ticks = [((x - xmin) * sx, label) for x, label in annotations]
     # the ticks' formula elementwise: the same IEEE operations and rounding;
     # an overflowed extent (0 * inf) is reported below, not warned about
@@ -202,6 +276,8 @@ def cmd_curve_eval(args) -> str:
     curve = load_curve(args.file)
     _coord_names(curve.dimension)
     point = _EVALUATORS[args.algorithm](curve, args.t, clamp=args.clamp)
+    if not np.isfinite(point).all():
+        raise ConstraintError(f"the point at t = {args.t!r} is not finite: {point.tolist()!r}")
     coords = ", ".join(format_float(c) for c in point)
     t = format_float(args.t)
     return f'{{"t": {t}, "algorithm": "{args.algorithm}", "point": [{coords}]}}\n'
@@ -346,7 +422,10 @@ def main(argv=None) -> int:
     # looked up per call, so a wrapper bound to the module attribute runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        text = command(args)
+        # an overflow surfaces as a non-finite value, which the output
+        # layer reports as one error line; numpy's warning would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            text = command(args)
         _emit(text, getattr(args, "output", None))
         return 0
     except FileFormatError as exc:

