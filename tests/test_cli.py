@@ -557,6 +557,10 @@ class TestSvgExtent:
                    tmp_path / "curve.json")
         net = [[[-1e308, 0.0, 0.0], [-1e308, 1.0, 0.0]], [[1e308, 0.0, 0.0], [1e308, 1.0, 2.0]]]
         save_patch(SurfacePatch(make_config(4, 6), net), tmp_path / "patch.json")
+        # x is flat at 1e17, where the extent's 0.05 padding rounds away
+        save_curve(Curve(make_config(0, 0), [[1e17, 2.0], [1e17, 3.0]]), tmp_path / "flat.json")
+        net = [[[1e17, 2.0, 0.0], [1e17, 3.0, 0.0]], [[1e17, 2.0, 1.0], [1e17, 3.0, 1.0]]]
+        save_patch(SurfacePatch(make_config(0, 0), net), tmp_path / "flatpatch.json")
         return tmp_path
 
     @pytest.mark.parametrize("argv", [
@@ -564,7 +568,10 @@ class TestSvgExtent:
         ["basis", "--alpha", "0", "--beta", "0", "--degree", "2", "--samples", "3",
          "--range", "0", "1e-320"],
         ["surface-sample", "{dir}/patch.json", "--samples", "3"],
-    ], ids=["curve-wide", "basis-subnormal-range", "patch-wide"])
+        ["curve-sample", "{dir}/flat.json", "--samples", "3"],
+        ["surface-sample", "{dir}/flatpatch.json", "--samples", "3"],
+    ], ids=["curve-wide", "basis-subnormal-range", "patch-wide", "curve-flat-at-1e17",
+            "patch-flat-at-1e17"])
     def test_non_finite_pixels_exit_one(self, argv, wide_dir):
         argv = [a.format(dir=wide_dir) for a in argv]
         proc = run_cli(*argv, "--format", "svg", expect=1)
@@ -572,6 +579,37 @@ class TestSvgExtent:
         assert proc.stderr.startswith("shiftknot: error:")
         assert len(proc.stderr.splitlines()) == 1
         assert "finite pixels" in proc.stderr
+
+
+class TestNonFiniteOutput:
+    """The direct blend of a degree-12 curve whose control coordinates are
+    all the largest double overflows at some parameters; no table or point
+    may carry the ``inf``."""
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        path = tmp_path / "big.json"
+        save_curve(Curve(make_config(0, 0), [[1.7976931348623157e308]] * 13), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["curve-sample", "{big}", "--samples", "2001", "--format", "json"],
+        ["curve-sample", "{big}", "--samples", "2001", "--format", "csv"],
+        ["curve-eval", "{big}", "0.5985"],
+    ], ids=["sample-json", "sample-csv", "eval"])
+    def test_exits_one_with_one_error_line(self, argv, big):
+        proc = run_cli(*(a.format(big=big) for a in argv), expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("shiftknot: error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "inf" in proc.stderr
+
+    def test_the_pyramid_route_stays_finite(self, big):
+        # convex combinations cannot overflow, so this table is written
+        proc = run_cli("curve-sample", big, "--samples", "2001", "--algorithm", "decasteljau",
+                       "--format", "json")
+        doc = json.loads(proc.stdout)
+        assert len(doc["samples"]) == 2001
 
 
 def _old_table(fmt, fields, columns, meta=()) -> str:
