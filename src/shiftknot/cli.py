@@ -118,10 +118,9 @@ def _table(fmt: str, fields, columns, meta=()) -> str:
     CSV is a header line then the rows; JSON is an object holding the
     ``meta`` (name, value) entries, then the rows as ``"samples"``. The
     body is built a block of rows at a time as one ``uint8`` matrix: the
-    separators are constant columns, each value a cell from
-    :func:`shiftknot._cells.float_cells` or
-    :func:`_text_column`, and the NUL padding is
-    dropped when the block becomes bytes.
+    separators are constant columns and each value is a NUL-padded cell,
+    from :func:`shiftknot._cells.float_cells` or :func:`_text_column`; the
+    padding is dropped when the block becomes bytes.
 
     Raises ``ConstraintError`` when a ``FLOAT_SPEC`` column holds a
     non-finite value, which neither format can carry.
@@ -175,7 +174,7 @@ def _table(fmt: str, fields, columns, meta=()) -> str:
         parts[-1] = parts[-1][: -len(sep)]
     parts.append(tail.encode())
     data = b"".join(parts)
-    del parts
+    del parts  # the blocks go before the text is made: one copy less at the peak
     return data.decode("ascii")
 
 
