@@ -90,8 +90,8 @@ def float_cells(values) -> np.ndarray:
     quads, zeros, pow10, pow10_hi, pow10_lo, keep = _cell_tables()
     x = np.asarray(values, dtype=np.float64)
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16)
-    a[~fast] = 1.0
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
+    a[slow] = 1.0
     exp = np.floor(np.log10(a)).astype(np.int64)
     digits = _scaled_digits(a, exp, pow10, pow10_hi, pow10_lo)
     while True:
@@ -140,7 +140,6 @@ def float_cells(values) -> np.ndarray:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(x))
     cells = sorted_cells.take(rank, axis=0)
-    slow = np.flatnonzero(~fast)
     if slow.size:
         cells[slow] = fallback_cells(x[slow])
     return cells

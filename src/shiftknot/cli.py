@@ -107,7 +107,7 @@ def _axis_texts(values: np.ndarray) -> np.ndarray:
 
     cells = float_cells(values)
     # the cells are left-justified: keep the columns that any text reaches
-    width = max(int(np.count_nonzero(cells.any(axis=0))), 1)
+    width = int(np.count_nonzero(cells.any(axis=0)))
     return cells[:, :width].astype(np.uint32).view(f"U{width}")[:, 0]
 
 
