@@ -39,13 +39,15 @@ def _cell_tables():
     digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     zeros = np.zeros((10, 10, 10, 10), dtype=np.int64)
     for k in range(4):
-        digits[..., k] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - k))
+        digits[..., k] = np.frombuffer(b"0123456789", dtype=np.uint8).reshape(
+            (10,) + (1,) * (3 - k))
         zeros[(slice(None),) * k + (0,) * (4 - k)] += 1
-    pow10 = 10.0 ** np.arange(23)
+    quads = digits.reshape(10_000, 4).view(np.uint32).ravel()
+    pow10 = np.array([float(10**k) for k in range(23)])
     pow10_hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
-    keep = (np.arange(CELL) < np.arange(CELL + 1)[:, None]).astype(np.uint8)
-    return (digits.reshape(10_000, 4).view(np.uint32).ravel(), zeros.ravel(),
-            pow10, pow10_hi, pow10 - pow10_hi, keep)
+    keep = np.array([[1] * length + [0] * (CELL - length) for length in range(CELL + 1)],
+                    dtype=np.uint8)
+    return quads, zeros.ravel(), pow10, pow10_hi, pow10 - pow10_hi, keep
 
 
 def _scaled_digits(a, exp, pow10, pow10_hi, pow10_lo):
