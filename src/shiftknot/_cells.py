@@ -104,10 +104,11 @@ def float_cells(values) -> np.ndarray:
         exp[off] += up[off].astype(np.int64) - down[off]
         digits[off] = _scaled_digits(a[off], exp[off], pow10, pow10_hi, pow10_lo)
     # one layout per sign and exponent: sort the values by it
-    layout = (2 * (exp + 4) + np.signbit(x)).astype(np.uint8)
+    neg = np.signbit(x)
+    layout = (2 * (exp + 4) + neg).astype(np.uint8)
     order = np.argsort(layout, kind="stable")
     counts = np.bincount(layout, minlength=40).tolist()
-    digits, exp, neg = digits[order], exp[order], layout[order] % 2
+    digits, exp, neg = digits[order], exp[order], neg[order]
     # the 17 digits at bytes 3..19: the leading one, then four groups of four
     lead, rest = np.divmod(digits, 10**16)
     groups = np.empty((len(x), 4), dtype=np.int64)
