@@ -30,7 +30,6 @@ from .curve import (
 )
 from .errors import ConstraintError, DomainError, GeometryError
 from .files import (
-    FLOAT_SPEC,
     FileFormatError,
     curve_to_json,
     format_float,
@@ -60,8 +59,6 @@ def _coord_names(dim: int) -> list[str]:
 
 
 def _sample_grid(dom, samples: int, range_pair, clamp: bool) -> np.ndarray:
-    if samples < 2:
-        raise ConstraintError(f"--samples must be at least 2, got {samples}")
     lo, hi = dom.lo, dom.hi
     if range_pair is not None:
         rlo, rhi = float(range_pair[0]), float(range_pair[1])
@@ -88,87 +85,60 @@ def _json_value(value) -> str:
 _BLOCK_ROWS = 1024
 
 
-def _text_column(column, spec: str) -> np.ndarray:
-    """``spec % v`` of each entry of ``column``, as a ``U`` array.
-
-    ``%s`` columns are texts already, such as :func:`_axis_texts` repeated;
-    other specs format each distinct entry once.
-    """
-    if spec == "%s":
-        return np.ascontiguousarray(column, dtype=str)
-    values, which = np.unique(column, return_inverse=True)
-    return np.array([spec % v for v in values.tolist()])[which]
-
-
-def _axis_texts(values: np.ndarray) -> np.ndarray:
-    """``FLOAT_SPEC`` text of each grid-axis value, formatted once, for
-    ``np.repeat``/``np.tile`` into a table column written by ``%s``."""
-    from ._cells import float_cells
-
-    cells = float_cells(values)
-    # the cells are left-justified: keep the columns that any text reaches
-    width = int(np.count_nonzero(cells.any(axis=0)))
-    return cells[:, :width].astype(np.uint32).view(f"U{width}")[:, 0]
-
-
-def _table(fmt: str, fields, columns, meta=()) -> str:
-    """One row per entry of the equal-length 1-D ``columns``, each value
-    written by the printf spec that ``fields`` pairs with its column name.
+def _table(fmt: str, names, axes, values, meta=()) -> str:
+    """One row per point of the grid ``axes``, the last axis varying
+    fastest: the point's axis values, then its row of the 2-D ``values``.
+    Every value is written by ``%.17g``.
 
     CSV is a header line then the rows; JSON is an object holding the
     ``meta`` (name, value) entries, then the rows as ``"samples"``. The
     body is built a block of rows at a time as one ``uint8`` matrix: the
-    separators are constant columns and each value is a NUL-padded cell,
-    from :func:`shiftknot._cells.float_cells` or :func:`_text_column`; the
-    padding is dropped when the block becomes bytes.
+    separators are constant columns and each value is a NUL-padded cell
+    from :func:`shiftknot._cells.float_cells`, the padding dropped when
+    the block becomes bytes. Each axis is formatted once, and row ``r``
+    takes its cell ``r // stride % len(axis)``.
 
-    Raises ``ConstraintError`` when a ``FLOAT_SPEC`` column holds a
-    non-finite value, which neither format can carry.
+    Raises ``ConstraintError`` when a column holds a non-finite value,
+    which neither format can carry.
     """
     from ._cells import CELL, float_cells
 
-    names = [name for name, _ in fields]
-    specs = [spec for _, spec in fields]
+    for name, col in zip(names, [*axes, *values.T]):
+        finite = np.isfinite(col)
+        if not finite.all():
+            raise ConstraintError(f"{fmt.upper()} output cannot carry the non-finite value"
+                                  f" {float(col[~finite][0])!r} in column {name!r}")
     if fmt == "csv":
         head = ",".join(names) + "\n"
-        literals = ["", *[","] * (len(fields) - 1), "\n"]
+        literals = ["", *[","] * (len(names) - 1), "\n"]
         sep, tail = "\n", "\n"
     else:
         head = "{\n" + "".join(f' "{k}": {_json_value(v)},\n' for k, v in meta)
         head += ' "samples": [\n  '
         literals = [f'{{"{names[0]}": ', *(f', "{name}": ' for name in names[1:]), "},\n  "]
         sep, tail = ",\n  ", "\n ]\n}\n"
-    floats = {j: np.asarray(col, dtype=np.float64)
-              for j, (col, spec) in enumerate(zip(columns, specs)) if spec == FLOAT_SPEC}
-    for j, col in floats.items():
-        finite = np.isfinite(col)
-        if not finite.all():
-            raise ConstraintError(f"{fmt.upper()} output cannot carry the non-finite value"
-                                  f" {float(col[~finite][0])!r} in column {names[j]!r}")
-    texts = {j: _text_column(col, spec)
-             for j, (col, spec) in enumerate(zip(columns, specs)) if j not in floats}
-    # one row: the literals, with the cell of each column between two of them;
-    # a text cell is the column's UCS-4 code units, of ASCII characters
-    widths = [CELL if j in floats else texts[j].itemsize // 4 for j in range(len(specs))]
+    # one row: the literals, with a cell of CELL bytes between two of them
     starts, template = [], literals[0].encode()
-    for width, literal in zip(widths, literals[1:]):
+    for literal in literals[1:]:
         starts.append(len(template))
-        template += bytes(width) + literal.encode()
-    rows = len(columns[0])
+        template += bytes(CELL) + literal.encode()
+    rows = len(values)
+    axis_cells, stride = [], rows
+    for axis in axes:
+        stride //= len(axis)
+        axis_cells.append((float_cells(axis), stride))
     block = np.empty((min(rows, _BLOCK_ROWS), len(template)), dtype=np.uint8)
     block[:] = np.frombuffer(template, dtype=np.uint8)
     parts = [head.encode()]
     for lo in range(0, rows, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, rows)
         part = block[: hi - lo]
-        if floats:
-            values = np.stack([col[lo:hi] for col in floats.values()], axis=1)
-            cells = float_cells(values.ravel()).reshape(hi - lo, len(floats), CELL)
-            for k, j in enumerate(floats):
-                part[:, starts[j] : starts[j] + CELL] = cells[:, k]
-        for j, col in texts.items():
-            part[:, starts[j] : starts[j] + widths[j]] = col[lo:hi].view(np.uint32).reshape(
-                hi - lo, widths[j])
+        for start, (cells, stride) in zip(starts, axis_cells):
+            which = np.arange(lo, hi) // stride % len(cells)
+            part[:, start : start + CELL] = cells.take(which, axis=0)
+        value_cells = float_cells(values[lo:hi].ravel()).reshape(hi - lo, -1, CELL)
+        for k, start in enumerate(starts[len(axes):]):
+            part[:, start : start + CELL] = value_cells[:, k]
         parts.append(part.tobytes().translate(None, b"\0"))
     if rows:
         parts[-1] = parts[-1][: -len(sep)]
@@ -251,12 +221,11 @@ def cmd_basis(args) -> str:
     rows = basis_rows(config, args.degree, ts, clamp=True)
     count = args.degree + 1
     if args.format != "svg":
-        fields = [("t", "%s"), ("k", "%d"), ("value", FLOAT_SPEC)]
-        columns = (np.repeat(_axis_texts(ts), count), np.tile(np.arange(count), len(ts)),
-                   rows.ravel())
         meta = [("alpha", config.alpha), ("beta", config.beta), ("degree", args.degree),
                 ("domain", (dom.lo, dom.hi))]
-        return _table(args.format, fields, columns, meta)
+        # k as a float: %.17g writes a whole number up to MAX_DEGREE without a point
+        return _table(args.format, ["t", "k", "value"], (ts, np.arange(count, dtype=float)),
+                      rows.reshape(-1, 1), meta)
     series = [(ts, rows[:, k], _PALETTE[k % len(_PALETTE)]) for k in range(count)]
     bbox = (float(ts[0]), float(ts[-1]), min(0.0, float(rows.min())), max(1.0, float(rows.max())))
     attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
@@ -289,8 +258,7 @@ def cmd_curve_sample(args) -> str:
     ts = _sample_grid(dom, args.samples, args.range, args.clamp)
     points = sample_curve(curve, ts, algorithm=args.algorithm, clamp=True)
     if args.format != "svg":
-        fields = [(name, FLOAT_SPEC) for name in ("t", *names)]
-        return _table(args.format, fields, (ts, *points.T), [("domain", (dom.lo, dom.hi))])
+        return _table(args.format, ["t", *names], (ts,), points, [("domain", (dom.lo, dom.hi))])
     if curve.dimension == 1:
         xs, ys = ts, points[:, 0]
         bbox = (
@@ -325,11 +293,9 @@ def cmd_surface_sample(args) -> str:
     vs = _sample_grid(dom_v, args.samples, None, False)
     grid = sample_patch(patch, us, vs, clamp=True)
     if args.format != "svg":
-        columns = (np.repeat(_axis_texts(us), len(vs)), np.tile(_axis_texts(vs), len(us)),
-                   *grid.reshape(-1, patch.dimension).T)
-        fields = [("u", "%s"), ("v", "%s"), *((name, FLOAT_SPEC) for name in names)]
         meta = [("domain_u", (dom_u.lo, dom_u.hi)), ("domain_v", (dom_v.lo, dom_v.hi))]
-        return _table(args.format, fields, columns, meta)
+        return _table(args.format, ["u", "v", *names], (us, vs),
+                      grid.reshape(-1, patch.dimension), meta)
     if patch.dimension < 2:
         raise ConstraintError("SVG wireframes need 2 or 3 coordinates")
     if patch.dimension == 2:
@@ -427,10 +393,7 @@ def main(argv=None) -> int:
             text = command(args)
         _emit(text, getattr(args, "output", None))
         return 0
-    except FileFormatError as exc:
-        print(f"shiftknot: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"shiftknot: error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:

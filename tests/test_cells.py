@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftknot import _cells
+from shiftknot.basis import MAX_DEGREE
 from shiftknot.files import FLOAT_SPEC
 
 
@@ -106,6 +107,13 @@ class TestFloatCells:
             rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64),
         ])
         assert_cells(values[np.isfinite(values)].tolist())
+
+    def test_basis_indices_read_as_integers(self):
+        # the CLI writes a basis table's k column as floats: each index of
+        # every degree must keep the bytes of its integer text
+        cells = _cells.float_cells(np.arange(MAX_DEGREE + 1, dtype=float))
+        assert [bytes(row).rstrip(b"\0") for row in cells] == [
+            b"%d" % k for k in range(MAX_DEGREE + 1)]
 
     def test_empty(self):
         assert _cells.float_cells(np.array([])).shape == (0, _cells.CELL)

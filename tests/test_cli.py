@@ -8,6 +8,7 @@ byte matrix at the end calls ``cli.main`` in-process, for speed.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -295,7 +296,8 @@ class TestArgumentErrors:
             "basis", "--alpha", "0", "--beta", "0", "--degree", "2",
             "--samples", "1", expect=1,
         )
-        assert "--samples" in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "shiftknot: error: sample count must be at least 2, got 1\n"
 
     @pytest.mark.parametrize("command", ["basis", "curve-sample"])
     def test_infinite_range_end_with_clamp_exits_one(self, command, curve_file):
@@ -612,18 +614,21 @@ class TestNonFiniteOutput:
         assert len(doc["samples"]) == 2001
 
 
-def _old_table(fmt, fields, columns, meta=()) -> str:
-    """A table as ``cli._table`` wrote it with one ``%`` per row."""
+def _old_table(fmt, names, axes, values, meta=()) -> str:
+    """A grid table written with one ``'%.17g' %`` per row: the grid
+    points of ``axes``, last axis fastest, beside the rows of ``values``."""
     if fmt == "csv":
-        head = ",".join(name for name, _ in fields) + "\n"
-        row = ",".join(spec for _, spec in fields)
+        head = ",".join(names) + "\n"
+        row = ",".join(["%.17g"] * len(names))
         sep, tail = "\n", "\n"
     else:
         head = "{\n" + "".join(f' "{k}": {cli._json_value(v)},\n' for k, v in meta)
         head += ' "samples": [\n  '
-        row = "{" + ", ".join(f'"{name}": {spec}' for name, spec in fields) + "}"
+        row = "{" + ", ".join(f'"{name}": %.17g' for name in names) + "}"
         sep, tail = ",\n  ", "\n ]\n}\n"
-    return head + sep.join(row % r for r in zip(*(c.tolist() for c in columns))) + tail
+    points = list(itertools.product(*(axis.tolist() for axis in axes)))
+    assert len(points) == len(values)
+    return head + sep.join(row % (*p, *v) for p, v in zip(points, values.tolist())) + tail
 
 
 # signed zeros, subnormals, the ends of float range and whole numbers: the
@@ -633,21 +638,34 @@ _TABLE_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e30
 
 
 class TestTablePins:
+    # (axis lengths, value columns): the curve, basis and surface shapes,
+    # at the benchmark's sizes and at the smallest
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("rows", [2, 3, 5000])
-    def test_table_matches_the_per_row_expression(self, rows, fmt):
+    @pytest.mark.parametrize("shape,cols", [
+        ((2,), 6), ((3,), 6), ((5000,), 6),
+        ((1250, 4), 1), ((71, 71), 3), ((1, 3), 6), ((2, 1), 6),
+    ], ids=str)
+    def test_table_matches_the_per_row_expression(self, shape, cols, fmt):
+        rows = math.prod(shape)
         rng = np.random.default_rng(rows)
         pool = np.concatenate([_TABLE_SPECIALS,
                                rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)])
-        floats = rng.choice(pool, size=(rows, 6))
-        floats.flat[:len(_TABLE_SPECIALS)] = _TABLE_SPECIALS
-        # the commands' column kinds: grid-axis texts, the basis index k and
-        # strided float columns of one array
-        columns = (cli._axis_texts(floats[:, 0]), np.tile(np.arange(4), rows)[:rows],
-                   *floats.T)
-        fields = [("t", "%s"), ("k", "%d"), *((f"c{j}", "%.17g") for j in range(6))]
+        values = rng.choice(pool, size=(rows, cols))
+        values.flat[:len(_TABLE_SPECIALS)] = _TABLE_SPECIALS
+        axes = []
+        for i, length in enumerate(shape):
+            axis = rng.choice(pool, size=length)
+            # each axis starts with the specials, from a different one
+            specials = np.roll(_TABLE_SPECIALS, -3 * i)[:length]
+            axis[:len(specials)] = specials
+            axes.append(axis)
+        names = [*"tuv"[:len(shape)], *(f"c{j}" for j in range(cols))]
         meta = [("degree", 3), ("alpha", -0.0), ("domain", (5e-324, 1e308))]
-        assert cli._table(fmt, fields, columns, meta) == _old_table(fmt, fields, columns, meta)
+        got = cli._table(fmt, names, tuple(axes), values, meta)
+        want = _old_table(fmt, names, axes, values, meta)
+        # compared as lines, which pytest reports at once; a failing string
+        # of thousands of rows took it over a minute to diff
+        assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
 # perfbench/spans.py times the CLI's layers by wrapping these module
