@@ -11,7 +11,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -487,6 +489,62 @@ class TestGoldenBytes:
         assert _golden_digest(argv) == golden[" ".join(argv)]
 
 
+# Products big enough that OpenBLAS would split them across threads: an
+# 11x11 net on a 301x301 grid, and a 1-D degree-10 curve at 100 003 samples.
+_NET11 = ", ".join(
+    "[" + ", ".join(f"[{i + 0.37 * j!r}, {j - 0.11 * i * j!r}, "
+                    f"{((5 * i + 3 * j) % 11 - 5) * 0.83!r}]" for j in range(11)) + "]"
+    for i in range(11)
+)
+_WIDE = ", ".join(f"[{(k * 37) % 11 - 5.3!r}]" for k in range(11))
+_THREAD_FILES = {
+    "net11.json": f'{{"alpha": 4, "beta": 6, "degrees": [10, 10], "control": [{_NET11}]}}',
+    "wide10.json": f'{{"alpha": 1e3, "beta": 1e4, "degree": 10, "control": [{_WIDE}]}}',
+}
+_THREAD_MATRIX = [
+    *GOLDEN_MATRIX,
+    ["surface-sample", "net11.json", "--samples", "301"],
+    ["curve-sample", "wide10.json", "--samples", "100003"],
+]
+# Runs the matrix in process, as TestGoldenBytes does, and prints one
+# digest line per invocation.
+_DIGEST_CHILD = """\
+import json, sys
+from test_cli import _golden_digest
+for argv in json.load(sys.stdin):
+    print(*_golden_digest(argv))
+"""
+
+
+def _digests_under_blas_threads(threads: int, directory: Path) -> list[str]:
+    """One ``sha256 status`` line per ``_THREAD_MATRIX`` invocation, from a
+    child process whose environment alone sets OpenBLAS's thread count."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST_CHILD], input=json.dumps(_THREAD_MATRIX),
+        capture_output=True, text=True, env=env, cwd=directory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="OpenBLAS runs one thread on one CPU, so no thread count can change a bit here",
+)
+def test_stdout_does_not_depend_on_the_blas_thread_count(golden_dir):
+    for name, text in _THREAD_FILES.items():
+        (golden_dir / name).write_text(text, encoding="utf-8")
+    one, two = (_digests_under_blas_threads(threads, golden_dir) for threads in (1, 2))
+    assert len(one) == len(two) == len(_THREAD_MATRIX)
+    differ = [" ".join(argv) for argv, a, b in zip(_THREAD_MATRIX, one, two) if a != b]
+    assert differ == []
+
+
 def _old_polyline(xs, ys, bbox) -> str:
     """A polyline's ``points`` as the CLI wrote them point by point, on
     ``np.float64`` scalars, before its pixels were computed in numpy."""
@@ -769,7 +827,6 @@ class TestParserContract:
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
