@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "MAX_DEGREE",
     "basis_rows_batch",
+    "blend",
     "decasteljau_batch",
     "patch_grid",
 ]
@@ -26,6 +27,10 @@ MAX_DEGREE = 64
 # Exponents of every degree: k is _POWERS[:n + 1] and n - k is _POWERS[n::-1].
 _POWERS = np.arange(MAX_DEGREE + 1)
 _POWERS.setflags(write=False)
+
+# Multiply-adds per matrix product in blend: OpenBLAS keeps products this
+# small on one thread; it split those from about 2**19 on, changing their bits.
+_BLEND_BUDGET = 2**18
 
 
 def basis_rows_batch(wl, wr, binom):
@@ -68,6 +73,26 @@ def decasteljau_batch(control, wl, wr):
     return np.ascontiguousarray(work[0].T)
 
 
+def blend(rows, points):
+    """Contract one row ``(K,)`` or rows ``(S, K)`` with ``points`` ``(K, ...)``.
+
+    Many rows go in blocks of ``_BLEND_BUDGET // points.size`` rows, at
+    least one, one ``matmul`` each; a one-row product kept its bits under
+    every thread count at every size measured.
+    """
+    if points.ndim > 2:
+        flat = blend(rows, points.reshape(len(points), -1))
+        return flat.reshape(rows.shape[:-1] + points.shape[1:])
+    if rows.ndim == 1:
+        return rows @ points
+    out = np.empty((len(rows), points.shape[1]))
+    step = max(1, _BLEND_BUDGET // points.size)
+    for lo in range(0, len(rows), step):
+        np.matmul(rows[lo : lo + step], points, out=out[lo : lo + step])
+    return out
+
+
 def patch_grid(net, rows_u, rows_v):
-    """Tensor-product contraction over a full sample grid, shape (U, V, d)."""
-    return np.einsum("ui,ijc,vj->uvc", rows_u, net, rows_v, optimize=True)
+    """Tensor-product contraction over a full sample grid along v first, shape (U, V, d)."""
+    by_v = blend(rows_v, net.transpose(1, 0, 2))
+    return blend(rows_u, by_v.transpose(1, 0, 2))

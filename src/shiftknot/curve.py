@@ -105,7 +105,7 @@ class Curve:
 
 def eval_direct(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
     """Blend the control points with the basis row at ``t``."""
-    return basis_row(curve.config, curve.degree, t, clamp=clamp) @ curve.control
+    return _kernels.blend(basis_row(curve.config, curve.degree, t, clamp=clamp), curve.control)
 
 
 def eval_decasteljau(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
@@ -133,7 +133,7 @@ def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = F
     ts = dom.admit_array(ts, clamp)
     if algorithm == "direct":
         rows = _kernels.basis_rows_batch(*dom.weights(ts), binomial_row(curve.degree))
-        return rows @ curve.control
+        return _kernels.blend(rows, curve.control)
     if algorithm == "decasteljau":
         return _kernels.decasteljau_batch(curve.control, *dom.weights(ts))
     if algorithm == "matrix":
@@ -243,7 +243,7 @@ def elevate(curve: Curve) -> Curve:
     traced over its own domain matches the original traced over its domain
     at equal normalized parameters.
     """
-    return Curve(curve.config, elevation_matrix(curve.degree) @ curve.control)
+    return Curve(curve.config, _kernels.blend(elevation_matrix(curve.degree), curve.control))
 
 
 def elevate_many(curve: Curve, levels: int) -> Curve:

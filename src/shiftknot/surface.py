@@ -73,7 +73,7 @@ def eval_patch(patch: SurfacePatch, u: float, v: float, *, clamp: bool = False) 
     m, n = patch.degrees
     row_u = basis_row(patch.config, m, u, clamp=clamp)
     row_v = basis_row(patch.config, n, v, clamp=clamp)
-    return np.einsum("i,ijc,j->c", row_u, patch.net, row_v)
+    return _kernels.blend(row_u, _kernels.blend(row_v, patch.net.transpose(1, 0, 2)))
 
 
 def sample_patch(patch: SurfacePatch, us, vs, *, clamp: bool = False) -> np.ndarray:
@@ -88,14 +88,14 @@ def isoparam_u(patch: SurfacePatch, v_star: float, *, clamp: bool = False) -> Cu
     """Freeze v; the result is the degree-m curve traced by u."""
     _, n = patch.degrees
     row_v = basis_row(patch.config, n, v_star, clamp=clamp)
-    return Curve(patch.config, np.einsum("ijc,j->ic", patch.net, row_v))
+    return Curve(patch.config, _kernels.blend(row_v, patch.net.transpose(1, 0, 2)))
 
 
 def isoparam_v(patch: SurfacePatch, u_star: float, *, clamp: bool = False) -> Curve:
     """Freeze u; the result is the degree-n curve traced by v."""
     m, _ = patch.degrees
     row_u = basis_row(patch.config, m, u_star, clamp=clamp)
-    return Curve(patch.config, np.einsum("ijc,i->jc", patch.net, row_u))
+    return Curve(patch.config, _kernels.blend(row_u, patch.net))
 
 
 def elevate_patch(patch: SurfacePatch) -> SurfacePatch:
@@ -107,7 +107,7 @@ def elevate_patch(patch: SurfacePatch) -> SurfacePatch:
     curve, then every column.
     """
     m, n = patch.degrees
-    net = np.einsum("ai,ijc,bj->abc", elevation_matrix(m), patch.net, elevation_matrix(n))
+    net = _kernels.patch_grid(patch.net, elevation_matrix(m), elevation_matrix(n))
     return SurfacePatch(patch.config, net)
 
 

@@ -106,14 +106,79 @@ class TestNumpyVariants:
                     f"pyramid, degree {n}, wr {wr!r}",
                 )
 
-    def test_patch_grid_matches_einsum(self):
+    @pytest.mark.parametrize("shape", [(4, 3, 6, 5), (11, 11, 301, 301)])
+    def test_patch_grid_matches_einsum(self, shape):
+        m, n, samples_u, samples_v = shape
         rng = np.random.default_rng(3)
-        net = rng.uniform(-2, 2, size=(4, 3, 3))
-        rows_u = rng.uniform(size=(6, 4))
-        rows_v = rng.uniform(size=(5, 3))
+        net = rng.uniform(-2, 2, size=(m, n, 3))
+        rows_u = rng.uniform(size=(samples_u, m))
+        rows_v = rng.uniform(size=(samples_v, n))
         got = _kernels.patch_grid(net, rows_u, rows_v)
         want = np.einsum("ui,ijc,vj->uvc", rows_u, net, rows_v)
         np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def _blend_step(points):
+    """Rows per block of ``_kernels.blend`` for these points."""
+    return max(1, _kernels._BLEND_BUDGET // points.size)
+
+
+class TestBlend:
+    def test_one_row(self):
+        rng = np.random.default_rng(5)
+        row = rng.uniform(size=7)
+        for points in (rng.uniform(-2, 2, size=(7, 3)), rng.uniform(-2, 2, size=(7, 4, 3))):
+            got = _kernels.blend(row, points)
+            assert got.shape == points.shape[1:]
+            np.testing.assert_allclose(got, np.einsum("k,k...->...", row, points), atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(11, 3), (7, 7, 3), (65, 1)])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_many_rows_around_a_block(self, shape, offset):
+        # one row, and one block less one row, exactly or plus one row
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        points = rng.uniform(-2, 2, size=shape)
+        count = 1 if offset is None else _blend_step(points) + offset
+        rows = rng.uniform(size=(count, shape[0]))
+        got = _kernels.blend(rows, points)
+        assert got.shape == (count, *shape[1:])
+        want = np.einsum("sk,k...->s...", rows, points)
+        np.testing.assert_allclose(got, want, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(11, 1), (65, 195), (65, 65, 3), (2, 200_000)])
+    def test_each_product_stays_within_the_budget(self, shape, monkeypatch):
+        # a one-row product may exceed it: one row is never split
+        rng = np.random.default_rng(6)
+        points = rng.uniform(-2, 2, size=shape)
+        rows = rng.uniform(size=(3 * _blend_step(points) + 2, shape[0]))
+        sizes = []
+        matmul = np.matmul
+
+        def counted(a, b, **kwargs):
+            sizes.append((a.shape[0], a.shape[0] * b.size))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(_kernels.np, "matmul", counted)
+        got = _kernels.blend(rows, points)
+        monkeypatch.undo()
+        assert sum(count for count, _ in sizes) == len(rows)
+        assert [s for count, s in sizes if count > 1 and s > _kernels._BLEND_BUDGET] == []
+        np.testing.assert_allclose(got, np.einsum("sk,k...->s...", rows, points), atol=1e-13)
+
+    @pytest.mark.parametrize("count", [None, 1, 3000])
+    def test_leaves_read_only_inputs_alone(self, count):
+        rng = np.random.default_rng(8)
+        rows = rng.uniform(size=9 if count is None else (count, 9))
+        points = rng.uniform(-5, 5, size=(9, 4, 3))
+        copies = [a.copy() for a in (rows, points)]
+        want = _kernels.blend(*copies)
+        for a in (rows, points):
+            a.setflags(write=False)
+        got = _kernels.blend(rows, points)
+        assert_bits_equal(got, want)
+        for a, before in zip((rows, points), copies):
+            assert_bits_equal(a, before)
+            assert not np.shares_memory(got, a)
 
 
 class TestScalarBatchConsistency:

@@ -270,22 +270,17 @@ class TestIsoparams:
 
 class TestPointRoutePins:
     """``eval_patch`` and the isoparametric lines return, bit for bit, the
-    contraction of the net with batch basis rows at their parameters."""
+    contraction of the net with batch basis rows at their parameters, as the
+    one blend kernel computes it for a grid."""
 
     @pytest.mark.parametrize("shift", PIN_SHIFTS)
     def test_eval_patch_matches_batch_rows(self, shift):
         for p in pinned_patches(*shift, 3):
-            (m, n), cfg = p.degrees, p.config
-
-            def reference(u, v, clamp):
-                row_u = basis_rows(cfg, m, [u], clamp=clamp)[0]
-                row_v = basis_rows(cfg, n, [v], clamp=clamp)[0]
-                return np.einsum("i,ijc,j->c", row_u, p.net, row_v)
-
+            m, n = p.degrees
             us, vs = point_params(p.domain_u, seed=m), point_params(p.domain_v, seed=n)
             assert_pinned(
                 lambda u, v, clamp: eval_patch(p, u, v, clamp=clamp),
-                reference,
+                lambda u, v, clamp: sample_patch(p, [u], [v], clamp=clamp)[0, 0],
                 [*zip(us, vs), *zip(us, vs[::-1])],
                 f"degrees {(m, n)}",
             )
@@ -296,17 +291,15 @@ class TestPointRoutePins:
             (m, n), cfg = p.degrees, p.config
             assert_pinned(
                 lambda v, clamp: isoparam_u(p, v, clamp=clamp).control,
-                lambda v, clamp: np.einsum(
-                    "ijc,j->ic", p.net, basis_rows(cfg, n, [v], clamp=clamp)[0]
-                ),
+                lambda v, clamp: _kernels.blend(
+                    basis_rows(cfg, n, [v], clamp=clamp), p.net.transpose(1, 0, 2)
+                )[0],
                 [(v,) for v in point_params(p.domain_v, seed=n)],
                 f"isoparam_u, degrees {(m, n)}",
             )
             assert_pinned(
                 lambda u, clamp: isoparam_v(p, u, clamp=clamp).control,
-                lambda u, clamp: np.einsum(
-                    "ijc,i->jc", p.net, basis_rows(cfg, m, [u], clamp=clamp)[0]
-                ),
+                lambda u, clamp: _kernels.blend(basis_rows(cfg, m, [u], clamp=clamp), p.net)[0],
                 [(u,) for u in point_params(p.domain_u, seed=m)],
                 f"isoparam_v, degrees {(m, n)}",
             )
@@ -350,7 +343,7 @@ class TestPointRoutePins:
 
     @pytest.mark.parametrize("shift", PIN_SHIFTS)
     def test_pyramid_reads_elevated_nets(self, shift):
-        # elevate_patch builds its net with einsum, not from caller input
+        # elevate_patch builds its net with the blend kernel, not from caller input
         rng = np.random.default_rng(11)
         cfg = make_config(*shift)
         for m, n in [(1, 1), (1, 3), (3, 1), (2, 4), (5, 5)]:
