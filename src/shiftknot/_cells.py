@@ -1,12 +1,14 @@
-"""Exact ``%.17g`` text of many doubles at once, as rows of bytes.
+"""Exact ``%.17g`` and ``%.2f`` text of many doubles at once, as rows of bytes.
 
 :func:`float_cells` writes ``FLOAT_SPEC % v`` of every value of a float
 array, byte for byte, without a ``%`` per value where it can: in the range
 ``1e-4 <= |v| < 1e16`` the 17 correctly rounded digits are computed exactly
 in numpy, with Dekker's error-free product (Dekker, "A floating-point
 technique for extending the available precision", Numer. Math. 18, 1971)
-by a power of ten that is an exact double. The output layer of
-:mod:`shiftknot.cli` writes its CSV and JSON tables from these cells.
+by a power of ten that is an exact double. :func:`pixel_cells` writes
+``'%.2f' % v`` the same way, from the exact product by 100. The output
+layer of :mod:`shiftknot.cli` writes its CSV and JSON tables from the
+first and its SVG polylines from the second.
 """
 
 from __future__ import annotations
@@ -17,10 +19,16 @@ import numpy as np
 
 from .files import FLOAT_SPEC
 
-__all__ = ["CELL", "fallback_cells", "float_cells"]
+__all__ = ["CELL", "fallback_cells", "float_cells", "pixel_cells"]
 
 # bytes per float cell: the longest FLOAT_SPEC text, "-2.2250738585072014e-308"
 CELL = 24
+# printf spec of every SVG pixel coordinate
+PIXEL_SPEC = "%.2f"
+# pixels below this magnitude are written by pixel_cells in numpy, in rows of
+# _PIXEL_CELL bytes: the longest such text is "-10000000.00"
+_PIXEL_LIMIT = 1e7
+_PIXEL_CELL = 12
 # Veltkamp's splitter 2**27 + 1: halves of 26 bits whose products are exact
 _SPLIT = 134217729.0
 
@@ -50,27 +58,72 @@ def _cell_tables():
     return quads, zeros.ravel(), pow10, pow10_hi, pow10 - pow10_hi, keep
 
 
+@functools.lru_cache(maxsize=None)
+def _pixel_tables():
+    """Lookup tables of :func:`pixel_cells`, as ``uint32`` words of four
+    bytes, built on first use from the 4-digit groups of
+    :func:`_cell_tables`:
+
+    - ``groups``: entries 0..9999 the group of ``k``, entries 10000..19999
+      the group of ``k - 10000`` with its leading zeros NUL but the last;
+    - ``heads``: the group of 0..1000 with its leading zeros NUL, 0 all NUL;
+    - ``tails``: ``.``, the two digits of 0..99, then NUL;
+    - ``minus``: NUL, NUL, NUL, ``-``.
+    """
+    quads = _cell_tables()[0]
+    groups = np.concatenate([quads, quads])
+    # k < 10**j has 4 - j leading zeros
+    for j in (3, 2, 1):
+        groups[10_000 : 10_000 + 10**j] &= np.frombuffer(bytes(4 - j) + b"\xff" * j,
+                                                         dtype=np.uint32)[0]
+    heads = groups[10_000:11_001].copy()
+    heads[0] = 0
+    tails = np.zeros((100, 4), dtype=np.uint8)
+    tails[:, 0] = ord(".")
+    tails[:, 1:3] = quads[:100].view(np.uint8).reshape(-1, 4)[:, 2:]
+    minus = np.frombuffer(b"\0\0\0-", dtype=np.uint32)[0]
+    return heads, groups, tails.view(np.uint32).ravel(), minus
+
+
+def _two_product(a, scale, scale_hi, scale_lo):
+    """Dekker's TwoProduct: ``a * scale == p + err`` exactly, with ``p``
+    the rounded double and ``err`` the exact rest; ``scale_hi`` and
+    ``scale_lo`` are the Veltkamp halves of ``scale``."""
+    p = a * scale
+    # a_hi = split - (split - a) with split = _SPLIT * a, then the rest
+    # ((a_hi * scale_hi - p) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo,
+    # in place and in that order
+    a_hi = _SPLIT * a
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    err = a_hi * scale_hi
+    err -= p
+    a_hi *= scale_lo
+    err += a_hi
+    a_hi = np.multiply(a_lo, scale_hi, out=a_hi)
+    err += a_hi
+    a_lo *= scale_lo
+    err += a_lo
+    return p, err
+
+
 def _scaled_digits(a, exp, pow10, pow10_hi, pow10_lo):
     """``round-half-even(a * 10**(16 - exp))`` exactly, as ``int64``.
 
-    Dekker's TwoProduct splits the product into ``p + err`` with ``p`` its
-    rounded double and ``err`` the exact rest. Above 2**53 ``p`` is an even
-    integer, so rounding ``err`` half to even rounds the sum half to even.
+    Above 2**53 the rounded product ``p`` is an even integer, so rounding
+    its rest ``err`` half to even rounds the sum half to even.
     """
     k = 16 - exp
-    scale, scale_hi, scale_lo = pow10[k], pow10_hi[k], pow10_lo[k]
-    p = a * scale
-    split = _SPLIT * a
-    a_hi = split - (split - a)
-    a_lo = a - a_hi
-    err = ((a_hi * scale_hi - p) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
+    p, err = _two_product(a, pow10[k], pow10_hi[k], pow10_lo[k])
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
-def fallback_cells(values: np.ndarray) -> np.ndarray:
-    """``FLOAT_SPEC % v`` of each of ``values``, as cells."""
-    texts = [FLOAT_SPEC % v for v in values.tolist()]
-    return np.array(texts, dtype=f"S{CELL}").view(np.uint8).reshape(-1, CELL)
+def fallback_cells(values: np.ndarray, spec: str = FLOAT_SPEC, width: int = CELL) -> np.ndarray:
+    """``spec % v`` of each of ``values``, as NUL-padded cells of ``width``
+    bytes, or of the longest text's when that is longer."""
+    texts = [spec % v for v in values.tolist()]
+    width = max([width, *map(len, texts)])
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
 def float_cells(values) -> np.ndarray:
@@ -146,3 +199,52 @@ def float_cells(values) -> np.ndarray:
     if slow.size:
         cells[slow] = fallback_cells(x[slow])
     return cells
+
+
+def pixel_cells(values) -> np.ndarray:
+    """``PIXEL_SPEC % v`` of each of the 1-D float ``values``, byte for
+    byte, as rows of a ``uint8`` array of shape ``(len(values), width)``
+    whose NUL bytes are to be dropped: NUL may stand anywhere in a row.
+
+    For ``|v| < 1e7`` the row is 12 bytes: the sign, eight integer digits
+    with their leading zeros NUL, ``.`` and two digits. They spell
+    ``round-half-even(|v| * 100)``, made exact from Dekker's product by 100
+    (:func:`_two_product`): ``rint`` of the rounded product stands unless
+    it lands exactly on a half, where the sign of the exact rest decides,
+    and a zero rest leaves ``rint``'s half to even. Every other value goes
+    to ``PIXEL_SPEC % v``, and the rows widen to its longest text.
+    """
+    heads, groups, tails, minus = _pixel_tables()
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x)
+    slow = np.flatnonzero(~(a < _PIXEL_LIMIT))
+    a[slow] = 0.0
+    p, err = _two_product(a, 100.0, 100.0, 0.0)
+    # one call takes a whole stack of polylines: each temporary goes once
+    # spent, which keeps the peak near six doubles a value
+    del a
+    cents = np.rint(p)
+    half = np.subtract(p, cents, out=p)
+    # at most 10**9 cents, which int32 holds
+    cents = cents.astype(np.int32)
+    cents += (half == 0.5) & (err > 0)
+    cents -= (half == -0.5) & (err < 0)
+    del half, err
+    whole, frac = np.divmod(cents, 100)
+    del cents
+    high, low = np.divmod(whole, 10_000)
+    del whole
+    # words: the sign, four integer digits, four more, then "." and the cents
+    words = np.empty((len(x), 4), dtype=np.uint32)
+    words[:, 0] = np.signbit(x) * minus
+    words[:, 1] = heads.take(high)
+    words[:, 2] = groups.take(low + (high == 0) * 10_000)
+    words[:, 3] = tails.take(frac)
+    cells = words.view(np.uint8)[:, 3 : 3 + _PIXEL_CELL]
+    if not slow.size:
+        return cells
+    slow_cells = fallback_cells(x[slow], PIXEL_SPEC, _PIXEL_CELL)
+    wide = np.zeros((len(x), slow_cells.shape[1]), dtype=np.uint8)
+    wide[:, :_PIXEL_CELL] = cells
+    wide[slow] = slow_cells
+    return wide

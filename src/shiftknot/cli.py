@@ -80,8 +80,8 @@ def _json_value(value) -> str:
 # table cells: the text of each value as one row of NUL-padded ASCII bytes
 
 # Table rows formatted per block, which bounds the cell kernel's temporaries.
-# The kernel, shiftknot._cells, is imported by the first table written: the
-# library routes and the SVG output never compile it.
+# The kernels, shiftknot._cells, are imported by the first table or SVG
+# written: the library routes never compile them.
 _BLOCK_ROWS = 1024
 
 
@@ -148,14 +148,22 @@ def _table(fmt: str, names, axes, values, meta=()) -> str:
     return data.decode("ascii")
 
 
-def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
-    """Fixed 640x480 viewport; ``series`` is (xs, ys, stroke) triples of
-    equal-length 1-D arrays in data coordinates, ``bbox`` the unpadded data
-    extent.
+def _svg_render(stacks, bbox, *, annotations=(), attrs="") -> str:
+    """Fixed 640x480 viewport; ``bbox`` is the unpadded data extent.
+
+    Each of ``stacks`` is ``(points, strokes, cross_strokes)``: ``points``
+    a float array of shape ``(lines, count, 2)`` in data coordinates,
+    drawn as polyline ``points[i]`` in ``strokes[i]`` for each line, then
+    as polyline ``points[:, j]`` in ``cross_strokes[j]`` for each column
+    that has a stroke. A stack's pixels are computed by one array operation
+    per coordinate and written by one :func:`shiftknot._cells.pixel_cells`
+    call, so each point's text is made once.
 
     Raises ``ConstraintError`` when the extent is too wide or too narrow
     for float64 to place every point at a finite pixel.
     """
+    from ._cells import pixel_cells
+
     width, height = 640, 480
     xmin, xmax, ymin, ymax = bbox
     spanx = (xmax - xmin) or 1.0
@@ -170,12 +178,16 @@ def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
     ticks = [((x - xmin) * sx, label) for x, label in annotations]
     # the ticks' formula elementwise: the same IEEE operations and rounding;
     # an overflowed extent (0 * inf) is reported below, not warned about
+    pixel_stacks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        lines = [(np.column_stack(((xs - xmin) * sx, height - (ys - ymin) * sy)), stroke)
-                 for xs, ys, stroke in series]
+        for points, strokes, cross_strokes in stacks:
+            pixels = np.empty(points.shape)
+            pixels[..., 0] = (points[..., 0] - xmin) * sx
+            pixels[..., 1] = height - (points[..., 1] - ymin) * sy
+            pixel_stacks.append((pixels, strokes, cross_strokes))
     if not (math.isfinite(sx) and math.isfinite(sy)
             and all(math.isfinite(tick) for tick, _ in ticks)
-            and all(np.isfinite(pixels).all() for pixels, _ in lines)):
+            and all(np.isfinite(pixels).all() for pixels, _, _ in pixel_stacks)):
         raise ConstraintError(
             "SVG output cannot place the data extent"
             f" [{bbox[0]!r}, {bbox[1]!r}] x [{bbox[2]!r}, {bbox[3]!r}] at finite pixels"
@@ -194,13 +206,24 @@ def _svg_render(series, bbox, *, annotations=(), attrs="") -> str:
             f'<text x="{tick:.2f}" y="{height - 14}" font-size="11"'
             f' font-family="monospace" text-anchor="middle">{label}</text>'
         )
-    for pixels, stroke in lines:
-        coords = " ".join(["%.2f,%.2f"] * len(pixels)) % tuple(pixels.ravel().tolist())
-        parts.append(
-            f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5" points="{coords}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    body = [part.encode() for part in parts]
+    for pixels, strokes, cross_strokes in pixel_stacks:
+        # one row of bytes per point: the x cell, ",", the y cell, " "; the
+        # NUL padding is dropped and the last " " cut off per polyline
+        cells = pixel_cells(pixels.ravel())
+        cell = cells.shape[1]
+        text = np.empty((*pixels.shape, cell + 1), dtype=np.uint8)
+        text[..., :cell] = cells.reshape(*pixels.shape, cell)
+        text[..., 0, cell] = ord(",")
+        text[..., 1, cell] = ord(" ")
+        for lines, line_strokes in ((text, strokes), (text.swapaxes(0, 1), cross_strokes)):
+            for line, stroke in zip(lines, line_strokes):
+                body.append(
+                    f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5" points="'.encode()
+                    + line.tobytes().translate(None, b"\0")[:-1] + b'"/>'
+                )
+    body.append(b"</svg>")
+    return (b"\n".join(body) + b"\n").decode("ascii")
 
 
 def _emit(text: str, output) -> None:
@@ -226,11 +249,14 @@ def cmd_basis(args) -> str:
         # k as a float: %.17g writes a whole number up to MAX_DEGREE without a point
         return _table(args.format, ["t", "k", "value"], (ts, np.arange(count, dtype=float)),
                       rows.reshape(-1, 1), meta)
-    series = [(ts, rows[:, k], _PALETTE[k % len(_PALETTE)]) for k in range(count)]
+    points = np.empty((count, len(ts), 2))
+    points[..., 0] = ts
+    points[..., 1] = rows.T
+    strokes = [_PALETTE[k % len(_PALETTE)] for k in range(count)]
     bbox = (float(ts[0]), float(ts[-1]), min(0.0, float(rows.min())), max(1.0, float(rows.max())))
     attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
     annotations = [(dom.lo, format(dom.lo, ".6g")), (dom.hi, format(dom.hi, ".6g"))]
-    return _svg_render(series, bbox, annotations=annotations, attrs=attrs)
+    return _svg_render([(points, strokes, ())], bbox, annotations=annotations, attrs=attrs)
 
 
 _EVALUATORS = {
@@ -277,7 +303,7 @@ def cmd_curve_sample(args) -> str:
             float(ctrl[:, 1].max()),
         )
     attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
-    return _svg_render([(xs, ys, _PALETTE[0])], bbox, attrs=attrs)
+    return _svg_render([(np.stack([xs, ys], axis=-1)[None], _PALETTE[:1], ())], bbox, attrs=attrs)
 
 
 def cmd_elevate(args) -> str:
@@ -303,8 +329,8 @@ def cmd_surface_sample(args) -> str:
     else:
         dropped = {"x": 0, "y": 1, "z": 2}[args.drop_axis]
         a, b = (c for c in range(3) if c != dropped)
-    series = [(grid[i, :, a], grid[i, :, b], _PALETTE[0]) for i in range(len(us))]
-    series += [(grid[:, j, a], grid[:, j, b], _PALETTE[1]) for j in range(len(vs))]
+    # the u-lines, then the v-lines: the stack's columns
+    stack = (grid[..., [a, b]], [_PALETTE[0]] * len(us), [_PALETTE[1]] * len(vs))
     flat = patch.net.reshape(-1, patch.dimension)
     bbox = (
         float(flat[:, a].min()),
@@ -316,7 +342,7 @@ def cmd_surface_sample(args) -> str:
         f' data-domain-u="{format_float(dom_u.lo)} {format_float(dom_u.hi)}"'
         f' data-domain-v="{format_float(dom_v.lo)} {format_float(dom_v.hi)}"'
     )
-    return _svg_render(series, bbox, attrs=attrs)
+    return _svg_render([stack], bbox, attrs=attrs)
 
 
 # ---------------------------------------------------------------------------

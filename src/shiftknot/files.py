@@ -99,11 +99,17 @@ def _number(data: dict, name: str) -> int | float:
 
 
 def _check_coordinates(points) -> None:
-    # bool is an int to Python but not a number to the schema
+    """Every coordinate a number, every point of the same length."""
+    sizes = set()
     for p in points:
+        sizes.add(len(p))
         for c in p:
+            # bool is an int to Python but not a number to the schema
             if isinstance(c, bool) or not isinstance(c, (int, float)):
                 raise FileFormatError(f"control coordinates must be numbers, got {json.dumps(c)}")
+    if len(sizes) > 1:
+        raise FileFormatError("control points must all have the same number of coordinates,"
+                              f" got {', '.join(map(str, sorted(sizes)))}")
 
 
 def parse_curve(text: str) -> Curve:

@@ -1,10 +1,12 @@
-"""The exact ``%.17g`` cell kernel against ``FLOAT_SPEC % v``.
+"""The exact cell kernels against ``FLOAT_SPEC % v`` and ``'%.2f' % v``.
 
-Every cell must hold the bytes of ``FLOAT_SPEC % v``, and every value must
-take the path its magnitude calls for: the numpy fast path in
-``1e-4 <= |v| < 1e16``, ``fallback_cells`` everywhere else.
+Every cell must hold the bytes of its value's text, and every value must
+take the path its magnitude calls for: the numpy fast path (``1e-4 <= |v|
+< 1e16`` for ``float_cells``, ``|v| < 1e7`` for ``pixel_cells``),
+``fallback_cells`` everywhere else.
 """
 
+import contextlib
 import math
 import sys
 from unittest import mock
@@ -23,16 +25,23 @@ def _fast(v: float) -> bool:
     return 1e-4 <= abs(v) < 1e16
 
 
-def _format(values):
-    """The cells' texts, and the values the fallback was handed."""
+@contextlib.contextmanager
+def _fallback_spy():
+    """The values handed to ``fallback_cells`` inside the block."""
     seen = []
     fallback = _cells.fallback_cells
 
-    def spy(slow):
+    def spy(slow, *args):
         seen.extend(slow.tolist())
-        return fallback(slow)
+        return fallback(slow, *args)
 
     with mock.patch.object(_cells, "fallback_cells", spy):
+        yield seen
+
+
+def _format(values):
+    """The cells' texts, and the values the fallback was handed."""
+    with _fallback_spy() as seen:
         cells = _cells.float_cells(np.array(values, dtype=np.float64))
     assert cells.shape == (len(values), _cells.CELL)
     texts = [bytes(row).rstrip(b"\0") for row in cells]
@@ -64,10 +73,14 @@ def _ties():
     return ties
 
 
+def _neighbours(values):
+    """Each value with the doubles just below and just above it."""
+    return [f(v) for v in values for f in (lambda v: math.nextafter(v, -math.inf), lambda v: v,
+                                             lambda v: math.nextafter(v, math.inf))]
+
+
 TIES = _ties()
-POWERS = [f(10.0**k) for k in range(-5, 18)
-          for f in (lambda v: math.nextafter(v, 0.0), lambda v: v,
-                    lambda v: math.nextafter(v, math.inf))]
+POWERS = _neighbours([10.0**k for k in range(-5, 18)])
 SPECIALS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.min / 3,
             sys.float_info.max, -sys.float_info.max, 9.99999999999999999, 1e-4, -1e-4,
             1e16, 1e16 - 2, 1500.0, 0.5, -2.0, 1 / 3]
@@ -130,4 +143,107 @@ class TestFloatCells:
         values = [-v for v in values] if negate else values
         texts, seen = _format(values)
         assert texts == [FLOAT_SPEC % v for v in values]
+        assert seen == []
+
+
+def _pixel_fast(v: float) -> bool:
+    return abs(v) < 1e7
+
+
+def _pixel_format(values):
+    """The pixel cells' texts with their NULs dropped, and the values the
+    fallback was handed."""
+    with _fallback_spy() as seen:
+        cells = _cells.pixel_cells(np.array(values, dtype=np.float64))
+    assert cells.dtype == np.uint8 and len(cells) == len(values)
+    assert cells.shape[1] == (12 if not seen else max(12, *(len("%.2f" % v) for v in seen)))
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells], seen
+
+
+def assert_pixels(values):
+    texts, seen = _pixel_format(values)
+    assert texts == ["%.2f" % v for v in values]
+    assert _bits(seen) == _bits([v for v in values if not _pixel_fast(v)])
+
+
+def _half_cents():
+    """Exact half-cent ties, ``v * 100 == k + 0.5`` in binary: ``n + j / 8``
+    with ``j`` odd, since ``100 / 8 = 12.5``; and ``(k + 0.5) / 100``, whose
+    product by 100 mostly rounds onto the half while its exact rest does
+    not vanish. ``'%.2f'`` rounds the first half to even, the second by the
+    rest's sign."""
+    rng = np.random.default_rng(1971)
+    ties = [0.125, 0.375, 2.5, 1e5 + 0.375, 9999999.875, 0.005, 0.015, 1.005, 2.675]
+    for digits in range(8):
+        n = rng.integers(0, 10**digits, size=30).tolist()
+        j = (2 * rng.integers(0, 4, size=30) + 1).tolist()
+        k = rng.integers(10 ** (digits + 1), 10 ** (digits + 2), size=30).tolist()
+        ties += [a + b / 8 for a, b in zip(n, j)] + [(c + 0.5) / 100 for c in k]
+    return ties
+
+
+HALF_CENTS = _half_cents()
+PIXEL_POWERS = _neighbours([10.0**k for k in range(-3, 8)] + [1e15, 1e300])
+PIXEL_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min / 3,
+                  -1e-3, -0.004999, -0.005, 0.004999, 1e7, -1e7, math.nextafter(1e7, 0.0),
+                  -math.nextafter(1e7, 0.0), 9999999.995, 9999999.994999999, 1e15, 1e300,
+                  -1e300, sys.float_info.max, 320.0, 639.995, -32.0]
+
+
+class TestPixelCells:
+    def test_half_cent_ties(self):
+        assert sum(v * 100 % 1 == 0.5 for v in HALF_CENTS) > len(HALF_CENTS) // 2
+        assert_pixels(HALF_CENTS)
+        assert_pixels(_neighbours(HALF_CENTS))
+        assert_pixels([-v for v in _neighbours(HALF_CENTS)])
+        assert ["%.2f" % v for v in (0.125, 0.375, 0.005)] == ["0.12", "0.38", "0.01"]
+
+    def test_negative_zero_and_tiny_values(self):
+        texts, _ = _pixel_format([-0.0, -1e-3, -5e-324, 0.0, 5e-324, sys.float_info.min])
+        assert texts == ["-0.00", "-0.00", "-0.00", "0.00", "0.00", "0.00"]
+
+    def test_both_sides_of_each_power_of_ten(self):
+        assert_pixels(PIXEL_POWERS)
+        assert_pixels([-v for v in PIXEL_POWERS])
+
+    def test_specials(self):
+        assert_pixels(PIXEL_SPECIALS)
+
+    def test_fallback_sees_exactly_the_out_of_range_values(self):
+        values = [1.5, 1e7, -2.25, math.inf, -1e300, math.nan, math.nextafter(1e7, 0.0)]
+        texts, seen = _pixel_format(values)
+        assert texts == ["1.50", "10000000.00", "-2.25", "inf", "%.2f" % -1e300, "nan",
+                         "10000000.00"]
+        assert _bits(seen) == _bits([1e7, math.inf, -1e300, math.nan])
+
+    def test_fast_range_keeps_twelve_bytes(self):
+        texts, seen = _pixel_format([-math.nextafter(1e7, 0.0), 0.0, 123.456])
+        assert seen == []
+        assert texts == ["-10000000.00", "0.00", "123.46"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_doubles(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([
+            rng.uniform(-100.0, 800.0, 3000),
+            np.round(rng.uniform(-100.0, 800.0, 3000), 3),
+            np.exp(rng.uniform(math.log(1e-8), math.log(1e9), 2000)) * rng.choice([-1, 1], 2000),
+            rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64),
+        ])
+        assert_pixels(values[np.isfinite(values)].tolist())
+
+    def test_empty(self):
+        assert _cells.pixel_cells(np.array([])).shape == (0, 12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_every_finite_double(self, values):
+        assert_pixels(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e7, max_value=1e7, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=40))
+    def test_fast_range(self, values):
+        texts, seen = _pixel_format(values)
+        assert texts == ["%.2f" % v for v in values]
         assert seen == []

@@ -220,6 +220,54 @@ class TestCurveCommands:
         assert len(proc.stderr.splitlines()) == 1
         assert "coordinates must be numbers" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["curve-sample", "surface-sample"])
+    def test_ragged_points_exit_two(self, tmp_path, command):
+        # control points of different lengths are off the schema
+        bad = tmp_path / "bad.json"
+        if command == "curve-sample":
+            bad.write_text('{"alpha": 0, "beta": 0, "degree": 1, "control": [[1, 2], [3]]}')
+        else:
+            bad.write_text('{"alpha": 0, "beta": 0, "degrees": [1, 1], "control":'
+                           ' [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1]]]}')
+        proc = run_cli(command, str(bad), expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "shiftknot: error: control points must all have the same number of coordinates,"
+            f" got {'1, 2' if command == 'curve-sample' else '2, 3'}"]
+
+
+# One library op of each kind, then the first SVG: prints whether the cell
+# kernels' module is loaded after each step.
+_LOAD_CHILD = """\
+import contextlib, io, sys
+import shiftknot, shiftknot.cli
+from shiftknot import Curve, SurfacePatch, make_config
+c = Curve(make_config(4, 6), [[0.0, 0.0], [1.0, 1.0], [2.0, 4.0]])
+shiftknot.sample_curve(c, c.domain.grid(11))
+print("shiftknot._cells" in sys.modules)
+p = SurfacePatch(make_config(4, 6), [[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 2.0]]])
+shiftknot.sample_patch(p, p.domain_u.grid(5), p.domain_v.grid(5))
+print("shiftknot._cells" in sys.modules)
+shiftknot.eval_patch_decasteljau(p, p.domain_u.lo, p.domain_v.hi)
+print("shiftknot._cells" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    shiftknot.cli.main(["basis", "--alpha", "0", "--beta", "1", "--degree", "2",
+                        "--samples", "5", "--format", "svg"])
+print("shiftknot._cells" in sys.modules)
+"""
+
+
+def test_library_ops_leave_the_cell_kernels_unloaded():
+    # compiling a module raises every process's peak memory, so the
+    # library routes must not load the kernels that only output needs
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOAD_CHILD], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False", "True"]
+
 
 # an integer literal beyond float range, such as a JSON file may hold
 HUGE = "1" + "0" * 400
@@ -590,6 +638,9 @@ def _svg_cases():
     cases.append(("zero-span-y", flat, (-3.0, 7.0, 2.5, 2.5)))
     cases.append(("zero-span-both", flat[:, [1, 1, 2]], (2.5, 2.5, 2.5, 2.5)))
     cases.append(("zero-span-zero", -flat[:, [2, 2, 2]], (0.0, 0.0, -0.0, -0.0)))
+    # far outside the box: pixels of 1e7 and beyond, among ordinary ones
+    far = np.array([0.5, 1e7 / 640 * 1.1 - 0.05, 1e7 / 640 * 1.1, -2e4, 1e12, -3e15, 1e300, 0.25])
+    cases.append(("beyond-fast-range", np.stack([far, far[::-1], far], axis=1), (0.0, 1.0, 0.0, 1.0)))
     return cases
 
 
@@ -599,14 +650,20 @@ _SVG_CASES = _svg_cases()
 class TestSvgPixels:
     @pytest.mark.parametrize("name, data, bbox", _SVG_CASES, ids=[c[0] for c in _SVG_CASES])
     def test_points_match_the_per_point_formula(self, name, data, bbox):
-        # column slices of one array, as the commands pass them
         series = [(data[:, 0], data[:, 1], "#000000"), (data[::3, 2], data[::3, 0], "#111111")]
-        svg = cli._svg_render(series, bbox, annotations=[(bbox[0], "lo")])
+        # the first as a stack's one line, the second as another's one column
+        (xs, ys, stroke), (cross_xs, cross_ys, cross_stroke) = series
+        stacks = [(np.stack([xs, ys], axis=-1)[None], [stroke], []),
+                  (np.stack([cross_xs, cross_ys], axis=-1)[:, None], [], [cross_stroke])]
+        svg = cli._svg_render(stacks, bbox, annotations=[(bbox[0], "lo")])
         written = re.findall(r'points="([^"]*)"', svg)
         expected = [_old_polyline(xs, ys, bbox) for xs, ys, _ in series]
         assert written == expected
         if name == "negative-zero-pixels":
             assert expected[0].startswith("-0.00,-0.00 ")
+        if name == "beyond-fast-range":
+            pixels = [abs(float(c)) for point in expected[0].split() for c in point.split(",")]
+            assert min(pixels) < 1e7 <= sorted(pixels)[-5] and max(pixels) > 1e300
 
 
 class TestSvgExtent:

@@ -119,6 +119,13 @@ class TestMalformedInput:
                 f' [[[0, 0, {coordinate}], [0, 1, 0]], [[1, 0, 0], [1, 1, 1]]]}}'
             )
 
+    def test_ragged_points(self):
+        with pytest.raises(FileFormatError, match="same number of coordinates, got 1, 2"):
+            parse_curve('{"alpha": 0, "beta": 0, "degree": 1, "control": [[1, 2], [3]]}')
+        with pytest.raises(FileFormatError, match="same number of coordinates, got 2, 3"):
+            parse_patch('{"alpha": 0, "beta": 0, "degrees": [1, 1],'
+                        ' "control": [[[0, 0, 0], [0, 1, 0]], [[1, 0], [1, 1, 1]]]}')
+
     def test_patch_point_not_a_list(self):
         with pytest.raises(FileFormatError, match="list of point rows"):
             parse_patch('{"alpha": 0, "beta": 0, "degrees": [1, 1], "control": [[0, 1], [2, 3]]}')
