@@ -2,11 +2,13 @@
 
 Subcommands: ``basis``, ``curve-eval``, ``curve-sample``, ``elevate``,
 ``surface-sample``. Output is CSV, JSON, or SVG and is byte-deterministic
-for identical invocations.
+for identical invocations. Every table and SVG polyline is text from one
+grid writer, :func:`_rows`; each command returns its output as blocks of
+bytes, which :func:`_emit` writes as they are to the destination.
 
 Exit codes: 0 on success, 1 for domain or constraint violations, 2 for
 unreadable or malformed input (including bad command lines, which argparse
-also reports with status 2).
+also reports with status 2) and for output that cannot be written whole.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import argparse
 import copy
 import functools
 import math
+import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -77,37 +79,61 @@ def _json_value(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# table cells: the text of each value as one row of NUL-padded ASCII bytes
+# output: every table and polyline as rows of bytes from one grid writer
 
-# Table rows formatted per block, which bounds the cell kernel's temporaries.
-# The kernels, shiftknot._cells, are imported by the first table or SVG
-# written: the library routes never compile them.
+# Table rows per block, in whole first-axis lines of the grid, which bounds
+# the cell kernel's temporaries. The kernels, shiftknot._cells, are imported
+# by the first table or SVG written: the library routes never compile them.
 _BLOCK_ROWS = 1024
 
 
-def _table(fmt: str, names, axes, values, meta=()) -> str:
-    """One row per point of the grid ``axes``, the last axis varying
-    fastest: the point's axis values, then its row of the 2-D ``values``.
-    Every value is written by ``%.17g``.
+def _rows(kernel, literals, columns) -> np.ndarray:
+    """The text of a grid as a ``uint8`` array shaped like the grid plus
+    one byte axis: ``columns`` broadcast to the grid, and each point's row
+    ``literals[0]``, its cell of ``columns[0]``, ``literals[1]``, and so on
+    to ``literals[-1]``.
+
+    The cells come from one ``kernel`` call (:func:`shiftknot._cells.float_cells`
+    or :func:`~shiftknot._cells.pixel_cells`) over every value the columns
+    hold, so a value broadcast across the grid is formatted once. Their NUL
+    padding is for the caller to drop.
+    """
+    cells = kernel(np.concatenate(columns, axis=None))
+    width = cells.shape[1]
+    literals = [np.frombuffer(literal.encode(), dtype=np.uint8) for literal in literals]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    rows = np.empty((*shape, sum(map(len, literals)) + width * len(columns)), dtype=np.uint8)
+    at = 0
+    for literal, column in zip(literals, columns):
+        rows[..., at : at + len(literal)] = literal
+        at += len(literal)
+        cell, cells = cells[: column.size], cells[column.size :]
+        rows[..., at : at + width] = cell.reshape(*column.shape, width)
+        at += width
+    rows[..., at:] = literals[-1]
+    return rows
+
+
+def _table(fmt: str, names, columns, meta=()) -> list[bytes]:
+    """One row per point of the grid that the float ``columns`` broadcast
+    to, each with the grid's number of axes: the point's cell of each
+    column, written by ``%.17g``.
 
     CSV is a header line then the rows; JSON is an object holding the
     ``meta`` (name, value) entries, then the rows as ``"samples"``. The
-    body is built a block of rows at a time as one ``uint8`` matrix: the
-    separators are constant columns and each value is a NUL-padded cell
-    from :func:`shiftknot._cells.float_cells`, the padding dropped when
-    the block becomes bytes. Each axis is formatted once, and row ``r``
-    takes its cell ``r // stride % len(axis)``.
+    rows are made by :func:`_rows` a block of whole first-axis lines at a
+    time, about ``_BLOCK_ROWS`` rows, and returned as bytes per block.
 
     Raises ``ConstraintError`` when a column holds a non-finite value,
     which neither format can carry.
     """
-    from ._cells import CELL, float_cells
+    from ._cells import float_cells
 
-    for name, col in zip(names, [*axes, *values.T]):
-        finite = np.isfinite(col)
+    for name, column in zip(names, columns):
+        finite = np.isfinite(column)
         if not finite.all():
             raise ConstraintError(f"{fmt.upper()} output cannot carry the non-finite value"
-                                  f" {float(col[~finite][0])!r} in column {name!r}")
+                                  f" {float(column[~finite][0])!r} in column {name!r}")
     if fmt == "csv":
         head = ",".join(names) + "\n"
         literals = ["", *[","] * (len(names) - 1), "\n"]
@@ -117,47 +143,30 @@ def _table(fmt: str, names, axes, values, meta=()) -> str:
         head += ' "samples": [\n  '
         literals = [f'{{"{names[0]}": ', *(f', "{name}": ' for name in names[1:]), "},\n  "]
         sep, tail = ",\n  ", "\n ]\n}\n"
-    # one row: the literals, with a cell of CELL bytes between two of them
-    starts, template = [], literals[0].encode()
-    for literal in literals[1:]:
-        starts.append(len(template))
-        template += bytes(CELL) + literal.encode()
-    rows = len(values)
-    axis_cells, stride = [], rows
-    for axis in axes:
-        stride //= len(axis)
-        axis_cells.append((float_cells(axis), stride))
-    block = np.empty((min(rows, _BLOCK_ROWS), len(template)), dtype=np.uint8)
-    block[:] = np.frombuffer(template, dtype=np.uint8)
-    parts = [head.encode()]
-    for lo in range(0, rows, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, rows)
-        part = block[: hi - lo]
-        for start, (cells, stride) in zip(starts, axis_cells):
-            which = np.arange(lo, hi) // stride % len(cells)
-            part[:, start : start + CELL] = cells.take(which, axis=0)
-        value_cells = float_cells(values[lo:hi].ravel()).reshape(hi - lo, -1, CELL)
-        for k, start in enumerate(starts[len(axes):]):
-            part[:, start : start + CELL] = value_cells[:, k]
-        parts.append(part.tobytes().translate(None, b"\0"))
-    if rows:
-        parts[-1] = parts[-1][: -len(sep)]
-    parts.append(tail.encode())
-    data = b"".join(parts)
-    del parts  # the blocks go before the text is made: one copy less at the peak
-    return data.decode("ascii")
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    lines = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
+    blocks = [head.encode()]
+    for lo in range(0, shape[0], lines):
+        # a column of one line broadcasts along the first axis: whole in every block
+        block = [column[lo : lo + lines] if len(column) > 1 else column for column in columns]
+        blocks.append(_rows(float_cells, literals, block).tobytes().translate(None, b"\0"))
+    if shape[0]:
+        blocks[-1] = blocks[-1][: -len(sep)]
+    blocks.append(tail.encode())
+    return blocks
 
 
-def _svg_render(stacks, bbox, *, annotations=(), attrs="") -> str:
+def _svg_render(stacks, bbox, *, annotations=(), attrs="") -> list[bytes]:
     """Fixed 640x480 viewport; ``bbox`` is the unpadded data extent.
 
-    Each of ``stacks`` is ``(points, strokes, cross_strokes)``: ``points``
-    a float array of shape ``(lines, count, 2)`` in data coordinates,
-    drawn as polyline ``points[i]`` in ``strokes[i]`` for each line, then
-    as polyline ``points[:, j]`` in ``cross_strokes[j]`` for each column
-    that has a stroke. A stack's pixels are computed by one array operation
-    per coordinate and written by one :func:`shiftknot._cells.pixel_cells`
-    call, so each point's text is made once.
+    Each of ``stacks`` is ``(xs, ys, strokes, cross_strokes)``: float
+    arrays ``xs`` and ``ys`` in data coordinates that broadcast to shape
+    ``(lines, count)``, drawn as polyline ``i`` in ``strokes[i]`` for each
+    line, then as polyline ``[:, j]`` in ``cross_strokes[j]`` for each
+    column that has a stroke. A stack's pixels are computed by one array
+    operation per coordinate and written by one :func:`_rows` call, so each
+    point's text, and each value that ``xs`` or ``ys`` broadcasts, is made
+    once.
 
     Raises ``ConstraintError`` when the extent is too wide or too narrow
     for float64 to place every point at a finite pixel.
@@ -178,66 +187,68 @@ def _svg_render(stacks, bbox, *, annotations=(), attrs="") -> str:
     ticks = [((x - xmin) * sx, label) for x, label in annotations]
     # the ticks' formula elementwise: the same IEEE operations and rounding;
     # an overflowed extent (0 * inf) is reported below, not warned about
-    pixel_stacks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for points, strokes, cross_strokes in stacks:
-            pixels = np.empty(points.shape)
-            pixels[..., 0] = (points[..., 0] - xmin) * sx
-            pixels[..., 1] = height - (points[..., 1] - ymin) * sy
-            pixel_stacks.append((pixels, strokes, cross_strokes))
+        pixel_stacks = [((xs - xmin) * sx, height - (ys - ymin) * sy, strokes, cross_strokes)
+                        for xs, ys, strokes, cross_strokes in stacks]
     if not (math.isfinite(sx) and math.isfinite(sy)
             and all(math.isfinite(tick) for tick, _ in ticks)
-            and all(np.isfinite(pixels).all() for pixels, _, _ in pixel_stacks)):
+            and all(np.isfinite(px).all() and np.isfinite(py).all()
+                    for px, py, _, _ in pixel_stacks)):
         raise ConstraintError(
             "SVG output cannot place the data extent"
             f" [{bbox[0]!r}, {bbox[1]!r}] x [{bbox[2]!r}, {bbox[3]!r}] at finite pixels"
         )
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}"{attrs}>'
     ]
     for tick, label in ticks:
-        parts.append(
+        head.append(
             f'<line x1="{tick:.2f}" y1="{height - 10}" x2="{tick:.2f}" y2="{height}"'
             ' stroke="#333333" stroke-width="1"/>'
         )
-        parts.append(
+        head.append(
             f'<text x="{tick:.2f}" y="{height - 14}" font-size="11"'
             f' font-family="monospace" text-anchor="middle">{label}</text>'
         )
-    body = [part.encode() for part in parts]
-    for pixels, strokes, cross_strokes in pixel_stacks:
-        # one row of bytes per point: the x cell, ",", the y cell, " "; the
-        # NUL padding is dropped and the last " " cut off per polyline
-        cells = pixel_cells(pixels.ravel())
-        cell = cells.shape[1]
-        text = np.empty((*pixels.shape, cell + 1), dtype=np.uint8)
-        text[..., :cell] = cells.reshape(*pixels.shape, cell)
-        text[..., 0, cell] = ord(",")
-        text[..., 1, cell] = ord(" ")
+    blocks = ["".join(line + "\n" for line in head).encode()]
+    for px, py, strokes, cross_strokes in pixel_stacks:
+        # one row per point, "x,y "; the NUL padding and each line's last " " dropped
+        text = _rows(pixel_cells, ["", ",", " "], [px, py])
         for lines, line_strokes in ((text, strokes), (text.swapaxes(0, 1), cross_strokes)):
             for line, stroke in zip(lines, line_strokes):
-                body.append(
+                blocks.append(
                     f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5" points="'.encode()
-                    + line.tobytes().translate(None, b"\0")[:-1] + b'"/>'
+                    + line.tobytes().translate(None, b"\0")[:-1] + b'"/>\n'
                 )
-    body.append(b"</svg>")
-    return (b"\n".join(body) + b"\n").decode("ascii")
+    blocks.append(b"</svg>\n")
+    return blocks
 
 
-def _emit(text: str, output) -> None:
+def _emit(blocks, output) -> None:
+    """Write ``blocks`` of ASCII bytes to the file ``output``, or to stdout."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "wb") as fh:
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        try:
+            for block in blocks:
+                sys.stdout.write(block.decode("ascii"))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; what stdout still holds would fail again,
+            # past main, at the interpreter's exit flush: drop it instead
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_basis(args) -> str:
+def cmd_basis(args) -> list[bytes]:
     config = make_config(args.alpha, args.beta)
     dom = domain(config, args.degree)
     ts = _sample_grid(dom, args.samples, args.range, args.clamp)
@@ -247,16 +258,13 @@ def cmd_basis(args) -> str:
         meta = [("alpha", config.alpha), ("beta", config.beta), ("degree", args.degree),
                 ("domain", (dom.lo, dom.hi))]
         # k as a float: %.17g writes a whole number up to MAX_DEGREE without a point
-        return _table(args.format, ["t", "k", "value"], (ts, np.arange(count, dtype=float)),
-                      rows.reshape(-1, 1), meta)
-    points = np.empty((count, len(ts), 2))
-    points[..., 0] = ts
-    points[..., 1] = rows.T
+        k = np.arange(count, dtype=float)
+        return _table(args.format, ["t", "k", "value"], [ts[:, None], k[None], rows], meta)
     strokes = [_PALETTE[k % len(_PALETTE)] for k in range(count)]
     bbox = (float(ts[0]), float(ts[-1]), min(0.0, float(rows.min())), max(1.0, float(rows.max())))
     attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
     annotations = [(dom.lo, format(dom.lo, ".6g")), (dom.hi, format(dom.hi, ".6g"))]
-    return _svg_render([(points, strokes, ())], bbox, annotations=annotations, attrs=attrs)
+    return _svg_render([(ts, rows.T, strokes, ())], bbox, annotations=annotations, attrs=attrs)
 
 
 _EVALUATORS = {
@@ -266,7 +274,7 @@ _EVALUATORS = {
 }
 
 
-def cmd_curve_eval(args) -> str:
+def cmd_curve_eval(args) -> list[bytes]:
     curve = load_curve(args.file)
     _coord_names(curve.dimension)
     point = _EVALUATORS[args.algorithm](curve, args.t, clamp=args.clamp)
@@ -274,44 +282,34 @@ def cmd_curve_eval(args) -> str:
         raise ConstraintError(f"the point at t = {args.t!r} is not finite: {point.tolist()!r}")
     coords = ", ".join(format_float(c) for c in point)
     t = format_float(args.t)
-    return f'{{"t": {t}, "algorithm": "{args.algorithm}", "point": [{coords}]}}\n'
+    return [f'{{"t": {t}, "algorithm": "{args.algorithm}", "point": [{coords}]}}\n'.encode()]
 
 
-def cmd_curve_sample(args) -> str:
+def cmd_curve_sample(args) -> list[bytes]:
     curve = load_curve(args.file)
     names = _coord_names(curve.dimension)
     dom = curve.domain
     ts = _sample_grid(dom, args.samples, args.range, args.clamp)
     points = sample_curve(curve, ts, algorithm=args.algorithm, clamp=True)
     if args.format != "svg":
-        return _table(args.format, ["t", *names], (ts,), points, [("domain", (dom.lo, dom.hi))])
+        return _table(args.format, ["t", *names], [ts, *points.T], [("domain", (dom.lo, dom.hi))])
+    ctrl = curve.control
     if curve.dimension == 1:
         xs, ys = ts, points[:, 0]
-        bbox = (
-            float(ts[0]),
-            float(ts[-1]),
-            float(curve.control[:, 0].min()),
-            float(curve.control[:, 0].max()),
-        )
+        bbox = (float(ts[0]), float(ts[-1]), float(ctrl[:, 0].min()), float(ctrl[:, 0].max()))
     else:
         xs, ys = points[:, 0], points[:, 1]
-        ctrl = curve.control
-        bbox = (
-            float(ctrl[:, 0].min()),
-            float(ctrl[:, 0].max()),
-            float(ctrl[:, 1].min()),
-            float(ctrl[:, 1].max()),
-        )
+        bbox = tuple(float(f(ctrl[:, c])) for c in (0, 1) for f in (np.min, np.max))
     attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
-    return _svg_render([(np.stack([xs, ys], axis=-1)[None], _PALETTE[:1], ())], bbox, attrs=attrs)
+    return _svg_render([(xs[None], ys[None], _PALETTE[:1], ())], bbox, attrs=attrs)
 
 
-def cmd_elevate(args) -> str:
+def cmd_elevate(args) -> list[bytes]:
     curve = load_curve(args.file)
-    return curve_to_json(elevate_many(curve, args.levels))
+    return [curve_to_json(elevate_many(curve, args.levels)).encode()]
 
 
-def cmd_surface_sample(args) -> str:
+def cmd_surface_sample(args) -> list[bytes]:
     patch = load_patch(args.file)
     names = _coord_names(patch.dimension)
     dom_u, dom_v = patch.domain_u, patch.domain_v
@@ -320,8 +318,8 @@ def cmd_surface_sample(args) -> str:
     grid = sample_patch(patch, us, vs, clamp=True)
     if args.format != "svg":
         meta = [("domain_u", (dom_u.lo, dom_u.hi)), ("domain_v", (dom_v.lo, dom_v.hi))]
-        return _table(args.format, ["u", "v", *names], (us, vs),
-                      grid.reshape(-1, patch.dimension), meta)
+        return _table(args.format, ["u", "v", *names],
+                      [us[:, None], vs[None], *grid.transpose(2, 0, 1)], meta)
     if patch.dimension < 2:
         raise ConstraintError("SVG wireframes need 2 or 3 coordinates")
     if patch.dimension == 2:
@@ -330,14 +328,9 @@ def cmd_surface_sample(args) -> str:
         dropped = {"x": 0, "y": 1, "z": 2}[args.drop_axis]
         a, b = (c for c in range(3) if c != dropped)
     # the u-lines, then the v-lines: the stack's columns
-    stack = (grid[..., [a, b]], [_PALETTE[0]] * len(us), [_PALETTE[1]] * len(vs))
+    stack = (grid[..., a], grid[..., b], [_PALETTE[0]] * len(us), [_PALETTE[1]] * len(vs))
     flat = patch.net.reshape(-1, patch.dimension)
-    bbox = (
-        float(flat[:, a].min()),
-        float(flat[:, a].max()),
-        float(flat[:, b].min()),
-        float(flat[:, b].max()),
-    )
+    bbox = tuple(float(f(flat[:, c])) for c in (a, b) for f in (np.min, np.max))
     attrs = (
         f' data-domain-u="{format_float(dom_u.lo)} {format_float(dom_u.hi)}"'
         f' data-domain-v="{format_float(dom_v.lo)} {format_float(dom_v.hi)}"'
@@ -416,8 +409,8 @@ def main(argv=None) -> int:
         # an overflow surfaces as a non-finite value, which the output
         # layer reports as one error line; numpy's warning would repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            text = command(args)
-        _emit(text, getattr(args, "output", None))
+            blocks = command(args)
+        _emit(blocks, getattr(args, "output", None))
         return 0
     except (FileFormatError, OSError) as exc:
         print(f"shiftknot: error: {exc}", file=sys.stderr)

@@ -236,6 +236,45 @@ class TestCurveCommands:
             f" got {'1, 2' if command == 'curve-sample' else '2, 3'}"]
 
 
+class TestClosedStdout:
+    """A reader that goes before the last byte truncates the output: the
+    run exits 2 with the one error line, whether Python buffers stdout or
+    not, and nothing more comes from the interpreter's flush at exit."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, keep", [
+        (["curve-sample", "parabola.json", "--samples", "200000"], 10),
+        (["curve-eval", "parabola.json", "0.5"], None),
+    ], ids=["table-closed-after-ten-bytes", "point-closed-before-the-first"])
+    def test_exits_two_with_one_error_line(self, argv, keep, unbuffered, tmp_path):
+        (tmp_path / "parabola.json").write_text(GOLDEN_FILES["parabola.json"])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        command = [sys.executable, "-m", "shiftknot", *argv]
+        if keep is None:
+            # a pipe whose reader is gone before the child starts
+            read, write = os.pipe()
+            os.close(read)
+            with os.fdopen(write, "wb") as stdout:
+                proc = subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE,
+                                        cwd=tmp_path, env=env)
+        else:
+            # the output is far longer than a pipe holds, so the child is
+            # still writing when the reader closes
+            proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    cwd=tmp_path, env=env)
+            assert len(proc.stdout.read(keep)) == keep
+            proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2, stderr
+        assert stderr.startswith("shiftknot: error:")
+        assert len(stderr.splitlines()) == 1, stderr
+
+
 # One library op of each kind, then the first SVG: prints whether the cell
 # kernels' module is loaded after each step.
 _LOAD_CHILD = """\
@@ -509,6 +548,9 @@ def _golden_digest(argv) -> list:
     return [hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code]
 
 
+_EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
+
+
 def _write_golden_files(directory: Path) -> None:
     for name, text in GOLDEN_FILES.items():
         (directory / name).write_text(text, encoding="utf-8")
@@ -535,6 +577,20 @@ class TestGoldenBytes:
     def test_stdout_and_status(self, argv, golden, golden_dir, monkeypatch):
         monkeypatch.chdir(golden_dir)
         assert _golden_digest(argv) == golden[" ".join(argv)]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv", GOLDEN_MATRIX, ids=" ".join)
+    def test_file_bytes_and_status(self, argv, golden, golden_dir, tmp_path, monkeypatch):
+        # --output writes the bytes stdout would get, and on exit 1 or 2 no file
+        monkeypatch.chdir(golden_dir)
+        path = tmp_path / "out"
+        digest, code = golden[" ".join(argv)]
+        assert _golden_digest([*argv, "--output", str(path)]) == [_EMPTY_DIGEST, code]
+        if code == 0:
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        else:
+            assert not path.exists()
 
 
 # Products big enough that OpenBLAS would split them across threads: an
@@ -653,9 +709,9 @@ class TestSvgPixels:
         series = [(data[:, 0], data[:, 1], "#000000"), (data[::3, 2], data[::3, 0], "#111111")]
         # the first as a stack's one line, the second as another's one column
         (xs, ys, stroke), (cross_xs, cross_ys, cross_stroke) = series
-        stacks = [(np.stack([xs, ys], axis=-1)[None], [stroke], []),
-                  (np.stack([cross_xs, cross_ys], axis=-1)[:, None], [], [cross_stroke])]
-        svg = cli._svg_render(stacks, bbox, annotations=[(bbox[0], "lo")])
+        stacks = [(xs[None], ys[None], [stroke], []),
+                  (cross_xs[:, None], cross_ys[:, None], [], [cross_stroke])]
+        svg = b"".join(cli._svg_render(stacks, bbox, annotations=[(bbox[0], "lo")])).decode()
         written = re.findall(r'points="([^"]*)"', svg)
         expected = [_old_polyline(xs, ys, bbox) for xs, ys, _ in series]
         assert written == expected
@@ -664,6 +720,39 @@ class TestSvgPixels:
         if name == "beyond-fast-range":
             pixels = [abs(float(c)) for point in expected[0].split() for c in point.split(",")]
             assert min(pixels) < 1e7 <= sorted(pixels)[-5] and max(pixels) > 1e300
+
+
+def _kernel_sizes(monkeypatch, name) -> list[int]:
+    """The number of values each later call of the cell kernel ``name`` gets."""
+    from shiftknot import _cells
+
+    sizes, kernel = [], getattr(_cells, name)
+
+    def spy(values):
+        sizes.append(np.size(values))
+        return kernel(values)
+
+    monkeypatch.setattr(_cells, name, spy)
+    return sizes
+
+
+class TestCellKernelCalls:
+    def test_basis_svg_formats_each_t_pixel_once(self, monkeypatch):
+        sizes = _kernel_sizes(monkeypatch, "pixel_cells")
+        argv = ["basis", "--alpha", "4", "--beta", "6", "--degree", "3", "--samples", "50",
+                "--format", "svg"]
+        assert _golden_digest(argv)[1] == 0
+        # one t pixel per sample and one value pixel per sample and function
+        assert sizes == [50 * 5]
+
+    def test_table_calls_hold_one_block(self, golden_dir, monkeypatch):
+        monkeypatch.chdir(golden_dir)
+        sizes = _kernel_sizes(monkeypatch, "float_cells")
+        argv = ["curve-sample", "quintic.json", "--samples", "5000", "--format", "csv"]
+        assert _golden_digest(argv)[1] == 0
+        names = ["t", "x", "y", "z"]
+        assert max(sizes) <= cli._BLOCK_ROWS * len(names)
+        assert sum(sizes) == 5000 * len(names)
 
 
 class TestSvgExtent:
@@ -776,7 +865,8 @@ class TestTablePins:
             axes.append(axis)
         names = [*"tuv"[:len(shape)], *(f"c{j}" for j in range(cols))]
         meta = [("degree", 3), ("alpha", -0.0), ("domain", (5e-324, 1e308))]
-        got = cli._table(fmt, names, tuple(axes), values, meta)
+        columns = [*np.ix_(*axes), *np.moveaxis(values.reshape(*shape, cols), -1, 0)]
+        got = b"".join(cli._table(fmt, names, columns, meta)).decode()
         want = _old_table(fmt, names, axes, values, meta)
         # compared as lines, which pytest reports at once; a failing string
         # of thousands of rows took it over a minute to diff
@@ -876,7 +966,7 @@ class TestParserContract:
         monkeypatch.chdir(golden_dir)
         argv = ["curve-sample", "quintic.json", "--samples", "3"]
         assert _golden_digest(argv)[1] == 0
-        monkeypatch.setattr(cli, "cmd_curve_sample", lambda args: "patched\n")
+        monkeypatch.setattr(cli, "cmd_curve_sample", lambda args: [b"patched\n"])
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
