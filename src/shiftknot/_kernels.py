@@ -93,6 +93,7 @@ def blend(rows, points):
 
 
 def patch_grid(net, rows_u, rows_v):
-    """Tensor-product contraction over a full sample grid along v first, shape (U, V, d)."""
-    by_v = blend(rows_v, net.transpose(1, 0, 2))
-    return blend(rows_u, by_v.transpose(1, 0, 2))
+    """Tensor-product contraction along v first: shape ``(dim,)`` for one
+    row per direction, ``(U, V, dim)`` for rows ``(U, m+1)`` and ``(V, n+1)``."""
+    by_v = blend(rows_v, net.swapaxes(0, 1))
+    return blend(rows_u, by_v.swapaxes(0, -2))

@@ -147,12 +147,9 @@ class DomainInterval:
         """
         return (self.hi - t) / self.width, (t - self.lo) / self.width
 
-    def to_unit(self, t: float) -> float:
-        """Affinely map interval points onto [0, 1]."""
-        return (float(t) - self.lo) / self.width
-
     def from_unit(self, s: float) -> float:
-        """Inverse of :meth:`to_unit`."""
+        """Affinely map ``s`` in [0, 1] onto the interval; :meth:`weights`'
+        right weight maps it back."""
         return self.lo + float(s) * self.width
 
     def grid(self, count: int) -> np.ndarray:

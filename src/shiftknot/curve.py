@@ -47,13 +47,14 @@ _MATRIX_CHUNK = 256
 
 
 def _freeze_points(points, *, ndim: int, what: str) -> np.ndarray:
-    """Read-only float copy of an ``ndim``-dimensional array of points.
+    """Read-only C-contiguous float copy of an ``ndim``-dimensional array of
+    points; strided views such as ``eval_patch_decasteljau``'s need C order.
 
     Every axis but the last (the coordinates) is one degree direction and
     holds ``2 .. MAX_DEGREE + 1`` points.
     """
     try:
-        arr = np.array(points, dtype=np.float64)
+        arr = np.array(points, dtype=np.float64, order="C")
     except OverflowError:
         # an integer beyond float range, such as a JSON literal 10**400
         raise ConstraintError(f"{what} coordinates must be finite") from None

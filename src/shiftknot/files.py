@@ -75,7 +75,8 @@ def patch_to_json(patch: SurfacePatch) -> str:
 def _load_dict(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past int's digit limit
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError("not valid JSON: nested too deeply") from exc

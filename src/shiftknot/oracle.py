@@ -32,7 +32,9 @@ __all__ = [
     "write_fixtures",
 ]
 
+# The bundled fixture file's seed and case counts.
 DEFAULT_SEED = 20260816
+BASIS_COUNT, CURVE_COUNT, PATCH_COUNT = 100, 60, 40
 
 
 def _rat(x) -> Fraction:
@@ -157,18 +159,13 @@ def _rand_coord(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-80, 80), 8)
 
 
-def generate_fixtures(
-    seed: int = DEFAULT_SEED,
-    basis_count: int = 100,
-    curve_count: int = 60,
-    patch_count: int = 40,
-) -> dict:
+def generate_fixtures() -> dict:
     """Deterministic fixture tables: inputs plus exact values, all as
     numerator/denominator strings ready for JSON."""
-    rng = random.Random(seed)
-    out = {"seed": seed, "basis": [], "curve": [], "patch": []}
+    rng = random.Random(DEFAULT_SEED)
+    out = {"seed": DEFAULT_SEED, "basis": [], "curve": [], "patch": []}
 
-    for _ in range(basis_count):
+    for _ in range(BASIS_COUNT):
         alpha, beta = _rand_shift(rng)
         n = rng.randint(1, 8)
         k = rng.randint(0, n)
@@ -186,7 +183,7 @@ def generate_fixtures(
             }
         )
 
-    for _ in range(curve_count):
+    for _ in range(CURVE_COUNT):
         alpha, beta = _rand_shift(rng)
         n = rng.randint(1, 8)
         dim = rng.choice([2, 3])
@@ -205,7 +202,7 @@ def generate_fixtures(
             }
         )
 
-    for _ in range(patch_count):
+    for _ in range(PATCH_COUNT):
         alpha, beta = _rand_shift(rng)
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
@@ -234,9 +231,9 @@ def generate_fixtures(
     return out
 
 
-def write_fixtures(path: str, **kwargs) -> dict:
+def write_fixtures(path: str) -> dict:
     """Emit :func:`generate_fixtures` as JSON and return the table."""
-    table = generate_fixtures(**kwargs)
+    table = generate_fixtures()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1)
         fh.write("\n")
@@ -249,18 +246,8 @@ def main(argv=None) -> int:
         description="Emit the exact-arithmetic fixture tables as JSON.",
     )
     parser.add_argument("--output", required=True, help="destination JSON path")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--basis-count", type=int, default=100)
-    parser.add_argument("--curve-count", type=int, default=60)
-    parser.add_argument("--patch-count", type=int, default=40)
     args = parser.parse_args(argv)
-    table = write_fixtures(
-        args.output,
-        seed=args.seed,
-        basis_count=args.basis_count,
-        curve_count=args.curve_count,
-        patch_count=args.patch_count,
-    )
+    table = write_fixtures(args.output)
     total = sum(len(table[kind]) for kind in ("basis", "curve", "patch"))
     print(f"wrote {total} fixtures to {args.output}")
     return 0

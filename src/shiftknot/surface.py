@@ -73,7 +73,7 @@ def eval_patch(patch: SurfacePatch, u: float, v: float, *, clamp: bool = False) 
     m, n = patch.degrees
     row_u = basis_row(patch.config, m, u, clamp=clamp)
     row_v = basis_row(patch.config, n, v, clamp=clamp)
-    return _kernels.blend(row_u, _kernels.blend(row_v, patch.net.transpose(1, 0, 2)))
+    return _kernels.patch_grid(patch.net, row_u, row_v)
 
 
 def sample_patch(patch: SurfacePatch, us, vs, *, clamp: bool = False) -> np.ndarray:
@@ -130,9 +130,7 @@ def eval_patch_decasteljau(
     wlu, wru = dom_u.weights(u)
     wlv, wrv = dom_v.weights(v)
     stencil = np.array([wlu * wlv, wlu * wrv, wru * wlv, wru * wrv]).reshape(2, 2, 1, 1, 1)
-    # the ndarray constructor takes a contiguous buffer only; a frozen net
-    # keeps its caller's memory order, which may be neither C nor F
-    work = np.ascontiguousarray(patch.net)
+    work = patch.net
     for _ in range(min(m, n)):
         rows, cols, dim = work.shape
         row, col, coord = work.strides

@@ -16,15 +16,15 @@ from shiftknot import MAX_DEGREE, Curve, DomainError, SurfacePatch, make_config
 PIN_SHIFTS = [(0.0, 0.0), (4.0, 6.0), (1e3, 1e4), (1e8, 1e9)]
 
 
-def run_shiftknot(*argv):
-    """Run ``python -m shiftknot *argv`` in a child process with the
+def run_shiftknot(*argv, module="shiftknot"):
+    """Run ``python -m <module> *argv`` in a child process with the
     checkout's ``src`` first on its ``PYTHONPATH``, so it imports the code
     under test with or without an install; text output is captured."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "shiftknot", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
     )
 
 

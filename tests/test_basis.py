@@ -162,7 +162,7 @@ class TestDomain:
     def test_unit_maps_roundtrip(self):
         dom = domain(make_config(4, 6), 3)
         for s in np.linspace(0, 1, 7):
-            assert dom.to_unit(dom.from_unit(s)) == pytest.approx(s, abs=1e-14)
+            assert dom.weights(dom.from_unit(s))[1] == pytest.approx(s, abs=1e-14)
 
 
 class TestBasisValue:

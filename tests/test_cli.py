@@ -310,6 +310,8 @@ def test_library_ops_leave_the_cell_kernels_unloaded():
 
 # an integer literal beyond float range, such as a JSON file may hold
 HUGE = "1" + "0" * 400
+# an integer literal past the interpreter's 4300-digit limit on int parsing
+LONG = "1" + "0" * 5000
 
 
 class TestOversizedIntegers:
@@ -339,6 +341,24 @@ class TestOversizedIntegers:
             f'[[[0, 0, {HUGE}], [0, 1, 0]], [[1, 0, 0], [1, 1, 2]]]}}'
         )
         self._assert_one_error_line(run_cli("surface-sample", str(path), expect=1))
+
+    @pytest.mark.parametrize("field", ["degree", "coordinate"])
+    def test_curve_past_the_digit_limit_exits_two(self, tmp_path, field):
+        degree, coordinate = (LONG, 1) if field == "degree" else (1, LONG)
+        path = tmp_path / "long.json"
+        path.write_text(
+            f'{{"alpha": 4, "beta": 6, "degree": {degree},'
+            f' "control": [[0, {coordinate}], [1, 1]]}}'
+        )
+        self._assert_one_error_line(run_cli("curve-eval", str(path), "0.5", expect=2))
+
+    def test_patch_past_the_digit_limit_exits_two(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"alpha": 4, "beta": 6, "degrees": [1, 1], "control": '
+            f'[[[0, 0, {LONG}], [0, 1, 0]], [[1, 0, 0], [1, 1, 2]]]}}'
+        )
+        self._assert_one_error_line(run_cli("surface-sample", str(path), expect=2))
 
 
 class TestSurfaceCommand:

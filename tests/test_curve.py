@@ -83,6 +83,15 @@ class TestCurveContainer:
         pts[0, 0] = 99.0
         assert c.control[0, 0] == 0.0
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_control_is_a_read_only_c_contiguous_copy(self, layout):
+        base = np.random.default_rng(2).uniform(-5, 5, size=(8, 6))[::2, ::2]
+        pts = {"C": base.copy(), "F": np.asfortranarray(base), "strided": base}[layout]
+        c = Curve(make_config(4, 6), pts)
+        assert c.control.flags.c_contiguous and not c.control.flags.writeable
+        assert not np.shares_memory(c.control, pts)
+        assert_bits_equal(c.control, pts)
+
     @pytest.mark.parametrize(
         "pts",
         [

@@ -80,6 +80,11 @@ class TestMalformedInput:
         with pytest.raises(FileFormatError, match="not valid JSON"):
             parse_curve("{nope")
 
+    def test_integer_past_the_digit_limit(self):
+        with pytest.raises(FileFormatError, match="not valid JSON"):
+            parse_curve('{"alpha": 0, "beta": 0, "degree": 1, "control": [[0, 1%s], [2, 3]]}'
+                        % ("0" * 5000))
+
     def test_top_level_not_object(self):
         with pytest.raises(FileFormatError, match="object"):
             parse_curve("[1, 2, 3]")

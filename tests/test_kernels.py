@@ -116,6 +116,20 @@ class TestNumpyVariants:
             want = np.einsum("ui,ijc,vj->uvc", rows_u, net, rows_v)
             np.testing.assert_allclose(got, want, atol=1e-13)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_patch_grid_one_row_matches_one_sample_rows(self, dim):
+        # bit for bit: one row per direction is eval_patch's call
+        rng = np.random.default_rng(dim)
+        for m, n in [(1, 1), (2, 5), (7, 3), (MAX_DEGREE, 4)]:
+            net = rng.uniform(-5, 5, size=(m + 1, n + 1, dim))
+            for _ in range(5):
+                row_u, row_v = rng.uniform(size=m + 1), rng.uniform(size=n + 1)
+                assert_bits_equal(
+                    _kernels.patch_grid(net, row_u, row_v),
+                    _kernels.patch_grid(net, row_u[None], row_v[None])[0, 0],
+                    f"degrees {(m, n)}",
+                )
+
 
 def _blend_step(points):
     """Rows per block of ``_kernels.blend`` for these points."""

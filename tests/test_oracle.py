@@ -18,6 +18,7 @@ from shiftknot.oracle import (
     generate_fixtures,
 )
 
+from _helpers import run_shiftknot
 from conftest import FIXTURE_PATH
 
 
@@ -108,6 +109,19 @@ class TestFixtureFile:
         out = tmp_path / "regen.json"
         write_fixtures(str(out))
         assert out.read_bytes() == FIXTURE_PATH.read_bytes()
+
+    def test_module_main_writes_the_file_bytes(self, tmp_path):
+        out = tmp_path / "regen.json"
+        proc = run_shiftknot("--output", str(out), module="shiftknot.oracle")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote 200 fixtures to {out}\n"
+        assert out.read_bytes() == FIXTURE_PATH.read_bytes()
+
+    def test_module_main_rejects_removed_flags(self, tmp_path):
+        out = tmp_path / "regen.json"
+        proc = run_shiftknot("--output", str(out), "--seed", "1", module="shiftknot.oracle")
+        assert proc.returncode == 2
+        assert not out.exists()
 
 
 class TestFloatAgreement:

@@ -26,6 +26,7 @@ from shiftknot import (
 import _classical
 from _helpers import (
     PIN_SHIFTS,
+    assert_bits_equal,
     assert_pinned,
     hull_contains,
     pinned_patches,
@@ -105,6 +106,17 @@ class TestPatchContainer:
         p = bilinear_patch()
         with pytest.raises(ValueError):
             p.net[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(range(3))), ids=lambda o: "".join(map(str, o))
+    )
+    def test_net_is_a_read_only_c_contiguous_copy(self, order):
+        net = np.random.default_rng(5).uniform(-5, 5, size=(4, 6, 3))
+        net = np.ascontiguousarray(net.transpose(order)).transpose(np.argsort(order))
+        p = SurfacePatch(make_config(4, 6), net)
+        assert p.net.flags.c_contiguous and not p.net.flags.writeable
+        assert not np.shares_memory(p.net, net)
+        assert_bits_equal(p.net, net)
 
     def test_oversized_integer_rejected(self):
         net = [[[0.0, 0.0, 10**400], [0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1.0, 2.0]]]
@@ -332,7 +344,7 @@ class TestPointRoutePins:
         net = rng.uniform(-5, 5, size=(4, 6, 3))
         net = np.ascontiguousarray(net.transpose(order)).transpose(np.argsort(order))
         p = SurfacePatch(make_config(4, 6), net)
-        assert p.net.strides == net.strides
+        assert p.net.flags.c_contiguous
         us, vs = point_params(p.domain_u, seed=3), point_params(p.domain_v, seed=5)
         assert_pinned(
             lambda u, v, clamp: eval_patch_decasteljau(p, u, v, clamp=clamp),
