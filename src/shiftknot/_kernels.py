@@ -32,6 +32,10 @@ _POWERS.setflags(write=False)
 # small on one thread; it split those from about 2**19 on, changing their bits.
 _BLEND_BUDGET = 2**18
 
+# Doubles per block of pyramid rows in decasteljau_batch: a block and its
+# scratch, 256 KiB each, stay in L2 while a level streams through them.
+_PYRAMID_BUDGET = 2**15
+
 
 def basis_rows_batch(wl, wr, binom):
     """All basis values of one degree: shape ``(n+1,)`` for float weights,
@@ -55,21 +59,37 @@ def decasteljau_batch(control, wl, wr):
     for arrays, so each weight runs along contiguous memory; every level
     computes ``(wl * left) + (wr * right)``, the same float operations as
     :func:`shiftknot.curve.decasteljau_triangle`.
+
+    For arrays, each level is updated in blocks of
+    ``_PYRAMID_BUDGET // (dim * samples)`` rows, at least one, through one
+    block of scratch, so a large batch streams cache-sized blocks instead
+    of the whole buffer. The blocks rise: row ``i`` of a level reads row
+    ``i + 1`` of the level before, which the next block overwrites only
+    after this one has read it.
     """
     rows, dim = control.shape
-    if isinstance(wl, np.ndarray):
-        work = np.empty((rows, dim, wl.shape[0]))
-        work[...] = control[:, :, None]
-    else:
+    if not isinstance(wl, np.ndarray):
         work = control.copy()
         # as 0-d arrays, the weights are not converted again on every level
         wl, wr = np.array(wl), np.array(wr)
-    right = np.empty_like(work[1:])
+        right = np.empty_like(work[1:])
+        for m in range(rows - 1, 0, -1):
+            left, scaled = work[:m], right[:m]
+            np.multiply(wr, work[1 : m + 1], scaled)
+            left *= wl
+            left += scaled
+        return work[0]
+    work = np.empty((rows, dim, wl.shape[0]))
+    work[...] = control[:, :, None]
+    step = max(1, _PYRAMID_BUDGET // max(1, work[0].size))
+    right = np.empty_like(work[1 : 1 + min(step, rows - 1)])
     for m in range(rows - 1, 0, -1):
-        left, scaled = work[:m], right[:m]
-        np.multiply(wr, work[1 : m + 1], scaled)
-        left *= wl
-        left += scaled
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            left, scaled = work[lo:hi], right[: hi - lo]
+            np.multiply(wr, work[lo + 1 : hi + 1], scaled)
+            left *= wl
+            left += scaled
     return np.ascontiguousarray(work[0].T)
 
 

@@ -159,15 +159,15 @@ class DomainInterval:
 
 def _grid(lo: float, hi: float, count: int) -> np.ndarray:
     """``count`` uniform samples from ``lo`` to ``hi``, both bit for bit."""
-    if count < 2:
-        raise ConstraintError(f"sample count must be at least 2, got {count}")
+    count = _check_int(count, 2, math.inf, "sample count", ConstraintError)
     ts = np.linspace(lo, hi, count)
     ts[0] = lo  # linspace starts a -0.0 interval at +0.0
     return ts
 
 
-def _check_int(value, lo: int, hi: int, what: str, error: type[Exception]) -> int:
-    """Return ``value`` as an ``int`` in ``lo..hi``, or raise ``error``.
+def _check_int(value, lo: int, hi: float, what: str, error: type[Exception]) -> int:
+    """Return ``value`` as an ``int`` in ``lo..hi``, or raise ``error``;
+    ``hi`` is ``math.inf`` for no upper bound.
 
     Bools and floats are rejected even when they equal an integer.
     """
@@ -177,6 +177,8 @@ def _check_int(value, lo: int, hi: int, what: str, error: type[Exception]) -> in
         raise error(f"{what} must be an integer, got {value!r}")
     value = int(value)
     if not lo <= value <= hi:
+        if hi == math.inf:
+            raise error(f"{what} must be at least {lo}, got {value}")
         raise error(f"{what} {value} outside {lo}..{hi}")
     return value
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 from .errors import ConstraintError, DomainError
@@ -247,7 +248,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--output", required=True, help="destination JSON path")
     args = parser.parse_args(argv)
-    table = write_fixtures(args.output)
+    try:
+        table = write_fixtures(args.output)
+    except OSError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     total = sum(len(table[kind]) for kind in ("basis", "curve", "patch"))
     print(f"wrote {total} fixtures to {args.output}")
     return 0

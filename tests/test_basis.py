@@ -624,6 +624,7 @@ INTEGER_ARGUMENTS = {
         ConstraintError,
         (0,),
     ),
+    "grid": (lambda v: domain(_CFG, 3).grid(v), ConstraintError, (65,)),
 }
 
 
@@ -636,6 +637,12 @@ def test_integer_argument_range(entry, value):
     else:
         with pytest.raises(error):
             call(value)
+
+
+@pytest.mark.parametrize("count", [3.0, "5", None], ids=repr)
+def test_grid_count_must_be_an_integer(count):
+    with pytest.raises(ConstraintError, match=f"sample count must be an integer, got {count!r}"):
+        domain(_CFG, 3).grid(count)
 
 
 @pytest.mark.parametrize("value", [True, 2.0], ids=repr)

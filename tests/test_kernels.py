@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from shiftknot import (
 )
 
 import _classical
-from _helpers import PIN_SHIFTS, assert_bits_equal, pinned_curves
+from _helpers import PIN_SHIFTS, assert_bits_equal, pinned_curves, random_curve
 
 
 class TestNumpyVariants:
@@ -85,6 +87,43 @@ class TestNumpyVariants:
             got = _kernels.decasteljau_batch(curve.control, *curve.domain.weights(ts))
             want = np.array([decasteljau_triangle(curve, t).apex for t in ts])
             assert_bits_equal(got, want, f"degree {curve.degree}")
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 5, 10, MAX_DEGREE])
+    def test_decasteljau_batch_pins_triangle_apex_across_row_blocks(self, degree, dim):
+        # bit for bit, in blocks of one row, of some rows and of whole
+        # levels: blocks of k rows come at budget // (dim * k) samples
+        rng = np.random.default_rng(degree)
+        curve = random_curve(rng, degree=degree, dim=dim, config=make_config(4.0, 6.0))
+        dom = curve.domain
+        inner = np.clip(dom.lo + rng.uniform(size=10) * dom.width, dom.lo, dom.hi)
+        params = np.concatenate([dom.grid(7), inner])
+        apexes = np.array([decasteljau_triangle(curve, t).apex for t in params])
+        for block in sorted({1, 2, (degree + 1) // 2, degree, degree + 1}):
+            samples = _kernels._PYRAMID_BUDGET // (dim * block)
+            pick = rng.integers(len(params), size=samples)
+            got = _kernels.decasteljau_batch(curve.control, *dom.weights(params[pick]))
+            assert_bits_equal(got, apexes[pick], f"{samples} samples")
+        got = _kernels.decasteljau_batch(curve.control, *dom.weights(params[:0]))
+        assert got.shape == (0, dim)
+
+    def test_decasteljau_batch_peak_memory(self):
+        # the pyramid buffer, one row of scratch and the output, at degree
+        # 10 with 10 000 samples of 3 coordinates
+        rng = np.random.default_rng(5)
+        control = rng.uniform(-5, 5, size=(11, 3))
+        wr = rng.uniform(size=10_000)
+        wl = 1.0 - wr
+        row = 3 * 10_000 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _kernels.decasteljau_batch(control, wl, wr)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * row + row + row + 64 * 1024
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_float_weights_match_one_sample_arrays(self, dim):

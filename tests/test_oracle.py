@@ -123,6 +123,14 @@ class TestFixtureFile:
         assert proc.returncode == 2
         assert not out.exists()
 
+    def test_module_main_reports_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "regen.json"
+        proc = run_shiftknot("--output", str(out), module="shiftknot.oracle")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("python -m shiftknot.oracle: error: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestFloatAgreement:
     """The float kernels must track the exact values on the bundled tables."""
