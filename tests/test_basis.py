@@ -37,7 +37,7 @@ from shiftknot import _kernels
 from shiftknot.basis import _domain
 
 import _classical
-from _helpers import PIN_SHIFTS, assert_pinned, point_params, random_config
+from _helpers import PIN_SHIFTS, assert_bits_equal, assert_pinned, point_params, random_config
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -399,6 +399,38 @@ class TestRecurrence:
     def test_classical_quadratic_midpoint(self):
         row = basis_row_by_recurrence(make_config(0, 0), 2, 0.5)
         np.testing.assert_allclose(row, [0.25, 0.5, 0.25], atol=1e-15)
+
+    @pytest.mark.parametrize("shift", [(-0.0, 0.0), *PIN_SHIFTS, (1e15, 1e16)], ids=repr)
+    def test_pins_degree_raising_loop(self, shift):
+        # bit for bit against the Pascal loop, signed zeros included: both
+        # ends (and -0.0 where the domain starts at zero), clamped points a
+        # quarter width past either end, and four interior points
+        cfg = make_config(*shift)
+        for n in range(1, MAX_DEGREE + 1):
+            dom = domain(cfg, n)
+            quarter = 0.25 * dom.width
+            zero = [(-0.0, False)] if dom.lo == 0.0 else []
+            params = [
+                (dom.lo, False), (dom.hi, False), *zero,
+                (dom.lo - quarter, True), (dom.hi + quarter, True),
+                *((dom.from_unit(s), False) for s in (0.1, 0.3, 0.6, 0.9)),
+            ]
+            for t, clamp in params:
+                row = basis_row_by_recurrence(cfg, n, t, clamp=clamp)
+                want = _raising_loop(n, *dom.weights(dom.admit(t, clamp)))
+                assert_bits_equal(row, want, f"degree {n} at {t!r}, clamp={clamp}")
+
+
+def _raising_loop(n: int, wl: float, wr: float) -> np.ndarray:
+    """The basis row by the degree-raising recurrence, one level at a time."""
+    row = np.zeros(n + 1)
+    row[0] = 1.0
+    for m in range(1, n + 1):
+        row[m] = wr * row[m - 1]
+        for k in range(m - 1, 0, -1):
+            row[k] = wr * row[k - 1] + wl * row[k]
+        row[0] = wl * row[0]
+    return row
 
 
 def _elevation_weights(n: int, k: int):
