@@ -20,8 +20,8 @@ __all__ = [
 ]
 
 # Highest supported degree; higher degrees are rejected rather than silently
-# degraded. binomial_row rounds the exact integers at any degree, so the cap
-# is set by the float evaluation routes, not by the binomials.
+# degraded. binomial_row could round the exact integers at any degree, so
+# the cap is set by the float evaluation routes, not by the binomials.
 MAX_DEGREE = 64
 
 # Exponents of every degree: k is _POWERS[:n + 1] and n - k is _POWERS[n::-1].
@@ -106,7 +106,7 @@ def blend(rows, points):
     if rows.ndim == 1:
         return rows @ points
     out = np.empty((len(rows), points.shape[1]))
-    step = max(1, _BLEND_BUDGET // points.size)
+    step = max(1, _BLEND_BUDGET // max(1, points.size))
     for lo in range(0, len(rows), step):
         np.matmul(rows[lo : lo + step], points, out=out[lo : lo + step])
     return out

@@ -123,7 +123,7 @@ class DomainInterval:
         return min(max(t, self.lo), self.hi)
 
     def admit_array(self, ts, clamp: bool = False) -> np.ndarray:
-        ts = np.ascontiguousarray(np.asarray(ts, dtype=np.float64))
+        ts = np.asarray(ts, dtype=np.float64)
         if ts.ndim != 1:
             raise ConstraintError("parameter samples must form a one-dimensional array")
         if not np.all(np.isfinite(ts)):
@@ -202,12 +202,12 @@ def _domain(alpha: float, beta: float, n: int, alpha_sign: float) -> DomainInter
     return DomainInterval(alpha / denom, (n + alpha) / denom, n)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def binomial_row(n: int) -> np.ndarray:
     """Binomial coefficients C(n, 0..n), each the float nearest the exact
     integer, so the end entries are exactly 1 at every degree."""
-    if n < 0:
-        raise ConstraintError(f"binomial row needs a nonnegative degree, got {n}")
+    # typed, or True and 3.0 would hit the rows cached for np.int64(1) and (3)
+    n = _check_int(n, 0, MAX_DEGREE, "degree", ConstraintError)
     row = np.array([float(math.comb(n, k)) for k in range(n + 1)])
     row.setflags(write=False)
     return row
@@ -240,25 +240,23 @@ def basis_rows(config: ShiftedKnotConfig, n: int, ts, *, clamp: bool = False) ->
 def basis_row_by_recurrence(
     config: ShiftedKnotConfig, n: int, t: float, *, clamp: bool = False
 ) -> np.ndarray:
-    """Basis row built by the degree-lowering recurrence instead of the
-    closed form.
+    """Basis row built by the de Casteljau pyramid on the identity polygon,
+    whose point ``k`` is the unit vector ``e_k``, instead of the closed form.
 
-    The recurrence splits each binomial coefficient Pascal-style and keeps
-    the degree-n domain constants at every level, which makes it the
-    de Casteljau pyramid in disguise. Lower-level rows are intermediate
-    quantities of the degree-n computation, not evaluations of lower-degree
-    bases on their own shifted domains.
+    After ``m`` levels the first point holds the degree-``m`` row of the
+    degree-raising recurrence, which splits each binomial coefficient
+    Pascal-style, with the same multiplies and adds. Every level keeps the
+    degree-n domain constants, so lower-level rows are intermediate
+    quantities of the degree-n computation, not evaluations of
+    lower-degree bases on their own shifted domains.
     """
     dom = domain(config, n)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    for m in range(1, n + 1):
-        row[m] = wr * row[m - 1]
-        for k in range(m - 1, 0, -1):
-            row[k] = wr * row[k - 1] + wl * row[k]
-        row[0] = wl * row[0]
-    return row
+    if math.copysign(1.0, wr) < 0:
+        # t = -0.0 on [+0.0, hi]: the recurrence and the closed form give the
+        # zeros the signs of wr**k, which the pyramid's +0.0 padding drops
+        return _kernels.basis_rows_batch(wl, wr, binomial_row(dom.degree))
+    return _kernels.decasteljau_batch(np.eye(dom.degree + 1), wl, wr)
 
 
 def basis_value_in_frame(

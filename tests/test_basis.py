@@ -31,6 +31,8 @@ from shiftknot import (
     isoparam_u,
     isoparam_v,
     make_config,
+    sample_curve,
+    sample_patch,
     step_matrix,
 )
 from shiftknot import _kernels
@@ -376,6 +378,32 @@ class TestSinglePointAdmission:
         assert calls["__post_init__"] == built
 
 
+# each batch route with one parameter inside its domain
+BATCH_ROUTES = {
+    "admit_array": (lambda ts: _CURVE.domain.admit_array(ts), _T),
+    "basis_rows": (lambda ts: basis_rows(_CURVE.config, 3, ts), _T),
+    **{
+        f"sample_curve.{algorithm}": (
+            lambda ts, _algorithm=algorithm: sample_curve(_CURVE, ts, algorithm=_algorithm),
+            _T,
+        )
+        for algorithm in ("direct", "decasteljau", "matrix")
+    },
+    "sample_patch.u": (lambda ts: sample_patch(_PATCH, ts, [_V]), _U),
+    "sample_patch.v": (lambda ts: sample_patch(_PATCH, [_U], ts), _V),
+}
+
+
+@pytest.mark.parametrize("route", list(BATCH_ROUTES))
+def test_batch_routes_reject_a_zero_dimensional_parameter(route):
+    # a lone float is not a one-sample array
+    call, t = BATCH_ROUTES[route]
+    assert len(call([t])) == 1
+    for ts in (t, np.float64(t), np.array(t)):
+        with pytest.raises(ConstraintError, match="one-dimensional"):
+            call(ts)
+
+
 class TestRecurrence:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(42)
@@ -657,6 +685,7 @@ INTEGER_ARGUMENTS = {
         (0,),
     ),
     "grid": (lambda v: domain(_CFG, 3).grid(v), ConstraintError, (65,)),
+    "binomial_row": (binomial_row, ConstraintError, (0,)),
 }
 
 
@@ -680,8 +709,11 @@ def test_grid_count_must_be_an_integer(count):
 @pytest.mark.parametrize("value", [True, 2.0], ids=repr)
 @pytest.mark.parametrize("entry", list(INTEGER_ARGUMENTS))
 def test_integer_argument_range_after_warm_up(entry, value):
-    # True == 1 and 2.0 == 2 as cache keys, so a domain cached before its
-    # degree is checked would hand these the intervals built here
+    # True == 1 and 2.0 == 2 as cache keys, so a domain or binomial row
+    # cached before its degree is checked would hand these the ones built
+    # here; lru_cache keys a plain int apart, but not an np.int64
     for n in (1, 2, 3, 64):
         domain(_CFG, n)
+        binomial_row(n)
+        binomial_row(np.int64(n))
     test_integer_argument_range(entry, value)

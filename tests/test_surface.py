@@ -171,6 +171,14 @@ class TestEvaluation:
         assert grid.shape == (5, 7, 3)
         np.testing.assert_allclose(grid[2, 3], eval_patch(p, us[2], vs[3]), atol=1e-13)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("count_u, count_v", [(0, 3), (3, 0), (0, 0), (3, 4)])
+    def test_sample_patch_shape(self, count_u, count_v, dim):
+        p = SurfacePatch(make_config(4, 6), np.arange(12.0 * dim).reshape(4, 3, dim))
+        us = np.linspace(p.domain_u.lo, p.domain_u.hi, count_u)
+        vs = np.linspace(p.domain_v.lo, p.domain_v.hi, count_v)
+        assert sample_patch(p, us, vs).shape == (count_u, count_v, dim)
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(6)
         A = np.array([[1.0, 0.5, 0.0], [-0.25, 2.0, 1.0], [0.0, 0.0, 3.0]])
