@@ -640,16 +640,16 @@ for argv in json.load(sys.stdin):
 """
 
 
-def _digests_under_blas_threads(threads: int, directory: Path) -> list[str]:
-    """One ``sha256 status`` line per ``_THREAD_MATRIX`` invocation, from a
-    child process whose environment alone sets OpenBLAS's thread count."""
+def _child_digests(matrix, directory: Path, **environ) -> list[str]:
+    """One ``sha256 status`` line per invocation of ``matrix``, from a child
+    process whose environment differs from this one's only by ``environ``."""
     tests = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _DIGEST_CHILD], input=json.dumps(_THREAD_MATRIX),
+        [sys.executable, "-c", _DIGEST_CHILD], input=json.dumps(matrix),
         capture_output=True, text=True, env=env, cwd=directory,
     )
     assert proc.returncode == 0, proc.stderr
@@ -663,9 +663,30 @@ def _digests_under_blas_threads(threads: int, directory: Path) -> list[str]:
 def test_stdout_does_not_depend_on_the_blas_thread_count(golden_dir):
     for name, text in _THREAD_FILES.items():
         (golden_dir / name).write_text(text, encoding="utf-8")
-    one, two = (_digests_under_blas_threads(threads, golden_dir) for threads in (1, 2))
+    one, two = (_child_digests(_THREAD_MATRIX, golden_dir, OPENBLAS_NUM_THREADS=str(threads))
+                for threads in (1, 2))
     assert len(one) == len(two) == len(_THREAD_MATRIX)
     differ = [" ".join(argv) for argv, a, b in zip(_THREAD_MATRIX, one, two) if a != b]
+    assert differ == []
+
+
+def _present_avx512_features() -> list[str]:
+    """The AVX-512 feature groups numpy dispatches to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__
+    return [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
+
+
+def test_stdout_does_not_depend_on_avx512_dispatch(golden, golden_dir):
+    # numpy picks its SIMD loops per CPU; with its AVX-512 loops switched
+    # off, every golden invocation must still print the pinned bytes
+    lines = _child_digests(GOLDEN_MATRIX, golden_dir,
+                           NPY_DISABLE_CPU_FEATURES=" ".join(_present_avx512_features()))
+    assert len(lines) == len(GOLDEN_MATRIX)
+    differ = [" ".join(argv) for argv, line in zip(GOLDEN_MATRIX, lines)
+              if line.split() != [str(v) for v in golden[" ".join(argv)]]]
     assert differ == []
 
 
