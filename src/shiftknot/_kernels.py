@@ -17,16 +17,13 @@ __all__ = [
     "blend",
     "decasteljau_batch",
     "patch_grid",
+    "powers",
 ]
 
 # Highest supported degree; higher degrees are rejected rather than silently
 # degraded. binomial_row could round the exact integers at any degree, so
 # the cap is set by the float evaluation routes, not by the binomials.
 MAX_DEGREE = 64
-
-# Exponents of every degree: k is _POWERS[:n + 1] and n - k is _POWERS[n::-1].
-_POWERS = np.arange(MAX_DEGREE + 1)
-_POWERS.setflags(write=False)
 
 # Multiply-adds per matrix product in blend: OpenBLAS keeps products this
 # small on one thread; it split those from about 2**19 on, changing their bits.
@@ -37,16 +34,41 @@ _BLEND_BUDGET = 2**18
 _PYRAMID_BUDGET = 2**15
 
 
+def powers(w, n):
+    """``[w**0, w**1, ..., w**n]`` as running products of Python floats:
+    entry ``j`` is entry ``j - 1`` times ``w``, from ``1.0``."""
+    out = [1.0]
+    for _ in range(n):
+        out.append(out[-1] * w)
+    return out
+
+
 def basis_rows_batch(wl, wr, binom):
     """All basis values of one degree: shape ``(n+1,)`` for float weights,
     ``(len(wl), n+1)`` for arrays.
 
-    Entry ``[s, k]`` is ``binom[k] * wr[s]**k * wl[s]**(n - k)``.
+    Entry ``[s, k]`` is ``(wr[s]**k * binom[k]) * wl[s]**(n - k)``, with
+    each power a running product from 1 (see :func:`powers`), so it is
+    made of IEEE multiplies alone, in this order, on every CPU. For arrays
+    the powers of ``wl`` fill one ``(n+1, S)`` buffer along the sample
+    axis, and row ``n - k`` is then overwritten with entry ``k``; row 0,
+    ``wl**0 = 1``, doubles as the running power of ``wr``, since the last
+    entry's factor 1 is exact. The output is that buffer transposed.
     """
     n = binom.shape[0] - 1
-    if isinstance(wl, np.ndarray):
-        wl, wr = wl[:, None], wr[:, None]
-    return binom * wr ** _POWERS[: n + 1] * wl ** _POWERS[n::-1]
+    if not isinstance(wl, np.ndarray):
+        low, high = powers(wl, n), powers(wr, n)
+        return np.array([high[k] * b * low[n - k] for k, b in enumerate(binom.tolist())])
+    low = np.empty((n + 1, wl.shape[0]))
+    low[0] = 1.0
+    for j in range(1, n + 1):
+        np.multiply(low[j - 1], wl, out=low[j])
+    high = low[0]
+    for k, b in enumerate(binom.tolist()[:n]):
+        low[n - k] *= high * b
+        high *= wr
+    high *= binom[n]
+    return np.ascontiguousarray(low[::-1].T)
 
 
 def decasteljau_batch(control, wl, wr):

@@ -281,7 +281,8 @@ def basis_value_in_frame(
     degree = _check_int(degree, 0, MAX_DEGREE, "degree", ConstraintError)
     k = _check_int(k, 0, degree, "basis position", IndexError)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return float(binomial_row(degree)[k] * wr**k * wl ** (degree - k))
+    high, low = _kernels.powers(wr, k), _kernels.powers(wl, degree - k)
+    return float(high[-1] * binomial_row(degree)[k] * low[-1])
 
 
 def basis_derivative(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = False) -> float:
@@ -291,6 +292,7 @@ def basis_derivative(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = 
     n = dom.degree
     k = _check_int(k, 0, n, "basis position", IndexError)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    rising = k * wr ** (k - 1) * wl ** (n - k) if k > 0 else 0.0
-    falling = (n - k) * wr**k * wl ** (n - k - 1) if k < n else 0.0
+    high, low = _kernels.powers(wr, k), _kernels.powers(wl, n - k)
+    rising = k * high[k - 1] * low[n - k] if k > 0 else 0.0
+    falling = (n - k) * high[k] * low[n - k - 1] if k < n else 0.0
     return float(binomial_row(n)[k] * (rising - falling) / dom.width)

@@ -230,24 +230,33 @@ class TestBasisValue:
             np.testing.assert_allclose(vals, basis_row(cfg, n, t), rtol=4 * EPS, atol=0)
 
 
+def _power(w, m):
+    """``w**m`` as a running product of Python floats from 1.0."""
+    out = 1.0
+    for _ in range(m):
+        out *= w
+    return out
+
+
 def _value_closed_form(cfg, n, k, t, clamp):
     dom = domain(cfg, n)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return float(binomial_row(n)[k] * wr**k * wl ** (n - k))
+    return float(_power(wr, k) * float(math.comb(n, k)) * _power(wl, n - k))
 
 
 def _derivative_closed_form(cfg, n, k, t, clamp):
     dom = domain(cfg, n)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    rising = k * wr ** (k - 1) * wl ** (n - k) if k > 0 else 0.0
-    falling = (n - k) * wr**k * wl ** (n - k - 1) if k < n else 0.0
-    return float(binomial_row(n)[k] * (rising - falling) / dom.width)
+    rising = k * _power(wr, k - 1) * _power(wl, n - k) if k > 0 else 0.0
+    falling = (n - k) * _power(wr, k) * _power(wl, n - k - 1) if k < n else 0.0
+    return float(float(math.comb(n, k)) * (rising - falling) / dom.width)
 
 
 class TestScalarPins:
     """``basis_value`` and ``basis_derivative`` equal their closed forms,
-    written out here, bit for bit at every degree and position, both ends,
-    random points and points past the ends."""
+    written out here with each power a running product, bit for bit at
+    every degree and position, both ends, random points and points past
+    the ends."""
 
     @pytest.mark.parametrize("shift", PIN_SHIFTS)
     @pytest.mark.parametrize("route, closed_form", [
@@ -313,6 +322,20 @@ class TestBasisRow:
                 [(t,) for t in point_params(domain(cfg, n), seed=n)],
                 f"degree {n}",
             )
+
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_value_pins_row_entry(self, shift):
+        # bit for bit, at every degree and position: one set of bits per
+        # basis value, whichever route computes it
+        cfg = make_config(*shift)
+        for n in range(1, MAX_DEGREE + 1):
+            for k in range(n + 1):
+                assert_pinned(
+                    lambda t, clamp: basis_value(cfg, (n, k), t, clamp=clamp),
+                    lambda t, clamp: basis_row(cfg, n, t, clamp=clamp)[k],
+                    [(t,) for t in point_params(domain(cfg, n), seed=n)],
+                    f"degree {n}, position {k}",
+                )
 
 
 _CURVE = Curve(make_config(4, 6), np.arange(8.0).reshape(4, 2))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftknot import Curve, SurfacePatch, make_config, save_curve, save_patch
+from shiftknot import Curve, SurfacePatch, eval_direct, make_config, save_curve, save_patch
 from shiftknot import cli
 
 from _helpers import run_shiftknot
@@ -828,6 +828,19 @@ class TestSvgExtent:
         assert "finite pixels" in proc.stderr
 
 
+_BIG_CURVE = Curve(make_config(0, 0), [[1.7976931348623157e308]] * 13)
+
+
+def _first_overflow() -> str:
+    """The first of 2001 grid parameters at which ``eval_direct`` of the
+    big curve overflows, as the CLI reads it back."""
+    with np.errstate(over="ignore"):
+        for t in _BIG_CURVE.domain.grid(2001).tolist():
+            if not np.isfinite(eval_direct(_BIG_CURVE, t)).all():
+                return repr(t)
+    raise AssertionError("eval_direct stays finite on the whole grid")
+
+
 class TestNonFiniteOutput:
     """The direct blend of a degree-12 curve whose control coordinates are
     all the largest double overflows at some parameters; no table or point
@@ -836,16 +849,17 @@ class TestNonFiniteOutput:
     @pytest.fixture
     def big(self, tmp_path):
         path = tmp_path / "big.json"
-        save_curve(Curve(make_config(0, 0), [[1.7976931348623157e308]] * 13), path)
+        save_curve(_BIG_CURVE, path)
         return str(path)
 
     @pytest.mark.parametrize("argv", [
         ["curve-sample", "{big}", "--samples", "2001", "--format", "json"],
         ["curve-sample", "{big}", "--samples", "2001", "--format", "csv"],
-        ["curve-eval", "{big}", "0.5985"],
+        ["curve-eval", "{big}", "{t}"],
     ], ids=["sample-json", "sample-csv", "eval"])
     def test_exits_one_with_one_error_line(self, argv, big):
-        proc = run_cli(*(a.format(big=big) for a in argv), expect=1)
+        t = _first_overflow() if "{t}" in argv else None
+        proc = run_cli(*(a.format(big=big, t=t) for a in argv), expect=1)
         assert proc.stdout == ""
         assert proc.stderr.startswith("shiftknot: error:")
         assert len(proc.stderr.splitlines()) == 1

@@ -1,4 +1,8 @@
+import itertools
+import math
+import operator
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +22,20 @@ import _classical
 from _helpers import PIN_SHIFTS, assert_bits_equal, pinned_curves, random_curve
 
 
+def _running_product_row(wl, wr, binom):
+    """Basis row at one float pair: ``(wr**k * binom[k]) * wl**(n - k)``,
+    each power a running product of Python floats from 1.0."""
+    n = len(binom) - 1
+    low = list(itertools.accumulate([wl] * n, operator.mul, initial=1.0))
+    high = itertools.accumulate([wr] * n, operator.mul, initial=1.0)
+    return [h * b * low[n - k] for k, (h, b) in enumerate(zip(high, binom))]
+
+
+def _exact_entry(wl, wr, n, k):
+    """``C(n, k) wr**k wl**(n - k)`` exactly, at the float weights."""
+    return math.comb(n, k) * Fraction(float(wr)) ** k * Fraction(float(wl)) ** (n - k)
+
+
 class TestNumpyVariants:
     def test_basis_rows_matches_public_api(self):
         # the shifted basis is the classical one in the normalized pair
@@ -30,16 +48,63 @@ class TestNumpyVariants:
         np.testing.assert_allclose(got, want, atol=1e-13)
 
     @pytest.mark.parametrize("samples", [1, 7, 5000])
-    def test_basis_rows_pin_the_power_expression(self, samples):
+    def test_basis_rows_pin_running_products(self, samples):
         # bit for bit, at every degree up to MAX_DEGREE, with both ends
         rng = np.random.default_rng(samples)
         for n in range(1, MAX_DEGREE + 1):
             wr = rng.uniform(size=samples)
             wr[: min(samples, 2)] = [0.0, 1.0][: samples]
             wl = 1.0 - wr
-            k = np.arange(n + 1)
-            want = binomial_row(n) * wr[:, None] ** k * wl[:, None] ** (n - k)
+            binom = [float(math.comb(n, k)) for k in range(n + 1)]
+            want = np.array([_running_product_row(a, b, binom)
+                             for a, b in zip(wl.tolist(), wr.tolist())])
             assert_bits_equal(_kernels.basis_rows_batch(wl, wr, binomial_row(n)), want, f"{n}")
+
+    @pytest.mark.parametrize("family", ["regular", "tiny"])
+    def test_basis_rows_error_bound(self, family):
+        # against the exact products at the float weights, at every degree:
+        # n + 1 roundings make gamma = (n+1)u / (1 - (n+1)u), u = 2**-53.
+        # Regular weights keep every partial product normal or zero, so an
+        # entry at or above DBL_MIN is within gamma relative and an
+        # underflowing one within (n+1) 2**-1074 absolute. The powers of
+        # tiny weights pass through the subnormals, where each product may
+        # lose 2**-1075 and the binomial scales that loss up to C(n, k).
+        rng = np.random.default_rng(7)
+        if family == "regular":
+            wr = [0.0, 1.0, -0.0, 2**-15, 1 - 2**-15, 1e-3, *rng.uniform(size=6)]
+        else:
+            wr = [5e-324, 1e-300, 1e-160, 1e-30, 1e-9, 2**-40, 2**-53]
+        wr = np.array(wr)
+        tiny = Fraction(float(np.finfo(np.float64).tiny))
+        for n in range(1, MAX_DEGREE + 1):
+            gamma = (n + 1) * Fraction(2**-53) / (1 - (n + 1) * Fraction(2**-53))
+            for wl, wr in ((1.0 - wr, wr), (wr, 1.0 - wr)):
+                got = _kernels.basis_rows_batch(wl, wr, binomial_row(n))
+                for (s, k), value in np.ndenumerate(got):
+                    exact = _exact_entry(wl[s], wr[s], n, k)
+                    err = abs(Fraction(value) - exact)
+                    if family == "tiny":
+                        bound = gamma * abs(exact) + (n + 1) * math.comb(n, k) * Fraction(2**-1074)
+                    elif abs(exact) >= tiny:
+                        bound = gamma * abs(exact)
+                    else:
+                        bound = (n + 1) * Fraction(2**-1074)
+                    assert err <= bound, (n, k, wl[s], wr[s])
+
+    def test_basis_rows_peak_memory(self):
+        # the output and one (n+1, S) buffer, at degree 10 with 10 000 samples
+        wr = np.random.default_rng(9).uniform(size=10_000)
+        wl = 1.0 - wr
+        buffer = 11 * 10_000 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _kernels.basis_rows_batch(wl, wr, binomial_row(10))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffer + buffer + 64 * 1024
 
     def test_decasteljau_batch_matches_direct(self):
         rng = np.random.default_rng(2)
