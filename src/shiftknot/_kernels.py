@@ -54,6 +54,11 @@ def basis_rows_batch(wl, wr, binom):
     axis, and row ``n - k`` is then overwritten with entry ``k``; row 0,
     ``wl**0 = 1``, doubles as the running power of ``wr``, since the last
     entry's factor 1 is exact. The output is that buffer transposed.
+
+    An entry rounds at most ``n + 1`` times, so while no partial product
+    is subnormal it is within ``(n+1) u / (1 - (n+1) u)``, ``u = 2**-53``,
+    relative of the exact product at the float weights. A subnormal power
+    may lose ``2**-1075``, which the binomial scales by up to ``C(n, k)``.
     """
     n = binom.shape[0] - 1
     if not isinstance(wl, np.ndarray):

@@ -8,8 +8,9 @@ FIXTURE_PATH = Path(__file__).parent / "fixtures" / "oracle_fixtures.json"
 
 
 def pytest_report_header(config):
-    # numpy picks its SIMD loops per CPU, and its vector power rounds unlike
-    # libm's: a golden digest that fails on another CPU may fail for this
+    # numpy picks its SIMD loops per CPU; the output bytes should not depend
+    # on them (test_cli runs the golden matrix with AVX-512 switched off),
+    # and a digest that fails on one CPU only is read against this line
     try:
         simd = np.show_config(mode="dicts")["SIMD Extensions"]
     except TypeError:  # numpy before 1.26 only prints its configuration
