@@ -74,11 +74,11 @@ class TestNumpyVariants:
             wr = [0.0, 1.0, -0.0, 2**-15, 1 - 2**-15, 1e-3, *rng.uniform(size=6)]
         else:
             wr = [5e-324, 1e-300, 1e-160, 1e-30, 1e-9, 2**-40, 2**-53]
-        wr = np.array(wr)
+        w = np.array(wr)
         tiny = Fraction(float(np.finfo(np.float64).tiny))
         for n in range(1, MAX_DEGREE + 1):
             gamma = (n + 1) * Fraction(2**-53) / (1 - (n + 1) * Fraction(2**-53))
-            for wl, wr in ((1.0 - wr, wr), (wr, 1.0 - wr)):
+            for wl, wr in ((1.0 - w, w), (w, 1.0 - w)):
                 got = _kernels.basis_rows_batch(wl, wr, binomial_row(n))
                 for (s, k), value in np.ndenumerate(got):
                     exact = _exact_entry(wl[s], wr[s], n, k)
