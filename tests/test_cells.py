@@ -8,7 +8,10 @@ take the path its magnitude calls for: the numpy fast path (``1e-4 <= |v|
 
 import contextlib
 import math
+import random
 import sys
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftknot import _cells
+from shiftknot import Curve, _cells, make_config, sample_curve
 from shiftknot.basis import MAX_DEGREE
 from shiftknot.files import FLOAT_SPEC
 
@@ -86,6 +89,53 @@ SPECIALS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.min /
             1e16, 1e16 - 2, 1500.0, 0.5, -2.0, 1 / 3]
 
 
+def _digits(v: float) -> tuple[str, int]:
+    """The 17 significant digits of ``FLOAT_SPEC % v``, and its exponent."""
+    mantissa, exp = ("%.16e" % abs(v)).split("e")
+    return mantissa.replace(".", ""), int(exp)
+
+
+def _trailing_zeros():
+    """``{(z, e): doubles}``: doubles of exponent e whose 17-digit text ends
+    in exactly z zeros, for every z in 0..16 and e in -4..15 that has one.
+
+    Each is a decimal of ``17 - z`` significant digits, the last nonzero,
+    that a double holds exactly: ``N * 10**q`` with ``5**-q`` dividing N
+    when ``q < 0``, and ``N * 5**q`` below ``2**53`` when ``q > 0``.
+    """
+    rng = random.Random(1971)
+    found = {}
+    for e in range(-4, 16):
+        for z in range(17):
+            digits = 17 - z
+            q = e - digits + 1
+            step = 5 ** max(-q, 0)
+            lo, hi = -(-10 ** (digits - 1) // step), (10**digits - 1) // step
+            if q > 0:
+                hi = min(hi, 2**53 // 5**q // step)
+            values = set()
+            for _ in range(4 if lo <= hi else 0):
+                n = rng.randint(lo, hi) * step
+                exact = Fraction(n) * Fraction(10) ** q
+                if n % 10 and Fraction(float(exact)) == exact:
+                    values.add(float(exact))
+            if values:
+                found[z, e] = sorted(values)
+    return found
+
+
+TRAILING_ZEROS = _trailing_zeros()
+# doubles where the guess floor(log10|v|) is off by one or the 17 digits
+# reach 10**17: each power of ten's three neighbours on either side, and the
+# doubles nearest 17 and 18 nines at each exponent
+FIX_UPS = sorted({w for e in range(-4, 17) for v in (10.0**e, float(f"9.9999999999999999e{e - 1}"),
+                                                     float(f"9.99999999999999999e{e - 1}"))
+                  for w in _neighbours(_neighbours([v]))})
+FALLBACKS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min / 3, 1e-5,
+             -1e-5, math.nextafter(1e-4, 0.0), 1e16, -1e16, 1e17, 1e300, -sys.float_info.max,
+             math.inf, -math.inf, math.nan]
+
+
 class TestFloatCells:
     def test_ties_round_half_to_even(self):
         # the exact tie, not a product rounded onto it, decides the digit
@@ -130,6 +180,56 @@ class TestFloatCells:
 
     def test_empty(self):
         assert _cells.float_cells(np.array([])).shape == (0, _cells.CELL)
+
+    def test_trailing_zero_values_cover_every_count(self):
+        for (z, e), values in TRAILING_ZEROS.items():
+            for v in values:
+                digits, exp = _digits(v)
+                assert exp == e and len(digits) - len(digits.rstrip("0")) == z
+        assert {z for z, _ in TRAILING_ZEROS} == set(range(17))
+        assert {e for _, e in TRAILING_ZEROS} == set(range(-4, 16))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_branch_among_random_doubles(self, seed):
+        # the trailing-zero values of both signs, the fix-ups and the
+        # fallbacks, shuffled into 8192 doubles: each branch of the kernel
+        # sees a strict subset of one call's values
+        rng = np.random.default_rng(seed)
+        special = [s * v for values in TRAILING_ZEROS.values() for v in values for s in (1, -1)]
+        special += FIX_UPS + [-v for v in FIX_UPS] + FALLBACKS
+        count = 8192 - len(special)
+        assert count > 4096
+        fill = np.exp(rng.uniform(math.log(1e-4), math.log(1e16), count)) * rng.choice([-1, 1], count)
+        fill[: count // 8] = rng.integers(0, 2**64, count // 8, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([special, fill])
+        rng.shuffle(values)
+        values = values.tolist()
+        assert_cells(values)
+        fast = [v for v in values if _fast(v)]
+        zeros = [len(d) - len(d.rstrip("0")) for d, _ in map(_digits, fast)]
+        # all of the last 4-digit group zero, then of the last two, three, four
+        for group in range(1, 5):
+            assert 0 < sum(z >= 4 * group for z in zeros) < len(fast)
+        off = [int(np.floor(np.log10(abs(v)))) != _digits(v)[1] for v in fast]
+        assert 0 < sum(off) < len(fast)
+        assert 0 < len(fast) < len(values)
+
+    def test_peak_memory_per_value(self):
+        # one block of a curve table: t, then x, y and z, 2048 samples each
+        curve = Curve(make_config(4, 6), np.random.default_rng(7).uniform(-10, 10, (6, 3)))
+        ts = curve.domain.grid(2048)
+        values = np.concatenate([ts, *sample_curve(curve, ts).T])
+        _cells.float_cells(values[:8])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cells = _cells.float_cells(values)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (8192, _cells.CELL)
+        assert peak <= 100 * len(values)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))

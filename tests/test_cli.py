@@ -15,12 +15,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftknot import Curve, SurfacePatch, eval_direct, make_config, save_curve, save_patch
+from shiftknot import (Curve, SurfacePatch, eval_direct, make_config, sample_curve, save_curve,
+                       save_patch)
 from shiftknot import cli
 
 from _helpers import run_shiftknot
@@ -794,6 +796,48 @@ class TestCellKernelCalls:
         names = ["t", "x", "y", "z"]
         assert max(sizes) <= cli._BLOCK_ROWS * len(names)
         assert sum(sizes) == 5000 * len(names)
+
+
+# the benchmark's CSV and JSON tables of each kind, some thousand rows each
+_BLOCKED_TABLES = [argv for argv in GOLDEN_MATRIX
+                   if argv[0] in ("basis", "curve-sample", "surface-sample")
+                   and argv[-1] in ("csv", "json") and argv[argv.index("--samples") + 1]
+                   in ("1250", "5000", "71")]
+
+
+class TestTableBlocks:
+    @pytest.mark.parametrize("argv", _BLOCKED_TABLES, ids=" ".join)
+    def test_block_size_moves_no_byte(self, argv, golden, golden_dir, monkeypatch):
+        # from one first-axis line a block up to 2048 rows: the same bytes,
+        # the trailing separator cut at the last block included
+        monkeypatch.chdir(golden_dir)
+        for rows in (1, 7, 71, 1024, 2048):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+            assert _golden_digest(argv) == golden[" ".join(argv)], rows
+
+    def test_blocked_tables_cover_every_kind(self):
+        kinds = {(argv[0], argv[-1]) for argv in _BLOCKED_TABLES}
+        assert kinds == {(c, f) for c in ("basis", "curve-sample", "surface-sample")
+                         for f in ("csv", "json")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_above_the_output(self, fmt):
+        # a 20 000-row curve table holds its output whole; what it holds
+        # besides is one block's rows and kernel temporaries
+        curve = Curve(make_config(4, 6), np.random.default_rng(11).uniform(-10, 10, (6, 3)))
+        ts = curve.domain.grid(20_000)
+        columns = [ts, *sample_curve(curve, ts).T]
+        meta = [("domain", (curve.domain.lo, curve.domain.hi))]
+        cli._table(fmt, ["t", "x", "y", "z"], [column[:2] for column in columns], meta)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            blocks = cli._table(fmt, ["t", "x", "y", "z"], columns, meta)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(map(len, blocks)) <= 640 * 1024
 
 
 class TestSvgExtent:
