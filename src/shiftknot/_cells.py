@@ -37,23 +37,25 @@ _SPLIT = 134217729.0
 def _cell_tables():
     """Lookup tables of :func:`float_cells`, built on first use.
 
-    - ``quads``: the four ASCII digits of 0..9999 as one ``uint32`` each;
+    - ``quads``: the four ASCII digits of 0..9999 as one ``uint32`` each,
+      then at 10000 + d the digit d alone in the word's last byte;
     - ``zeros``: the trailing decimal zeros of 0..9999 (4 for 0);
     - ``pow10``, ``pow10_hi``, ``pow10_lo``: the exact doubles ``10**k``,
       k = 0..22, and their Veltkamp halves;
-    - ``keep``: row L holds L ones then zeros, to cut a cell at L bytes.
+    - ``keep``: row L holds L bytes 0xFF then NULs, to cut a cell at L bytes.
     """
     # axis k of the (10, 10, 10, 10) grids is the k-th digit of the group
     digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    zeros = np.zeros((10, 10, 10, 10), dtype=np.int64)
+    zeros = np.zeros((10, 10, 10, 10), dtype=np.int8)
     for k in range(4):
         digits[..., k] = np.frombuffer(b"0123456789", dtype=np.uint8).reshape(
             (10,) + (1,) * (3 - k))
         zeros[(slice(None),) * k + (0,) * (4 - k)] += 1
-    quads = digits.reshape(10_000, 4).view(np.uint32).ravel()
+    leads = np.frombuffer(b"".join(b"\0\0\0" + b"%d" % d for d in range(10)), dtype=np.uint32)
+    quads = np.concatenate([digits.reshape(10_000, 4).view(np.uint32).ravel(), leads])
     pow10 = np.array([float(10**k) for k in range(23)])
     pow10_hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
-    keep = np.array([[1] * length + [0] * (CELL - length) for length in range(CELL + 1)],
+    keep = np.array([[255] * length + [0] * (CELL - length) for length in range(CELL + 1)],
                     dtype=np.uint8)
     return quads, zeros.ravel(), pow10, pow10_hi, pow10 - pow10_hi, keep
 
@@ -70,7 +72,7 @@ def _pixel_tables():
     - ``tails``: ``.``, the two digits of 0..99, then NUL;
     - ``minus``: NUL, NUL, NUL, ``-``.
     """
-    quads = _cell_tables()[0]
+    quads = _cell_tables()[0][:10_000]
     groups = np.concatenate([quads, quads])
     # k < 10**j has 4 - j leading zeros
     for j in (3, 2, 1):
@@ -85,24 +87,29 @@ def _pixel_tables():
     return heads, groups, tails.view(np.uint32).ravel(), minus
 
 
-def _two_product(a, scale, scale_hi, scale_lo):
+def _two_product(a, scale, scale_hi, scale_lo, at=None):
     """Dekker's TwoProduct: ``a * scale == p + err`` exactly, with ``p``
     the rounded double and ``err`` the exact rest; ``scale_hi`` and
-    ``scale_lo`` are the Veltkamp halves of ``scale``."""
-    p = a * scale
+    ``scale_lo`` are the Veltkamp halves of ``scale``. With ``at``, the
+    three are tables read at the indices ``at``, each just before its
+    product, so that one gathered scale is held at a time."""
+    pick = (lambda scale: scale) if at is None else (lambda table: table.take(at))
+    p = a * pick(scale)
     # a_hi = split - (split - a) with split = _SPLIT * a, then the rest
     # ((a_hi * scale_hi - p) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo,
     # in place and in that order
     a_hi = _SPLIT * a
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    err = a_hi * scale_hi
+    a_lo = a_hi - a
+    a_hi -= a_lo
+    a_lo = np.subtract(a, a_hi, out=a_lo)
+    err = a_hi * pick(scale_hi)
     err -= p
-    a_hi *= scale_lo
+    a_hi *= pick(scale_lo)
     err += a_hi
-    a_hi = np.multiply(a_lo, scale_hi, out=a_hi)
+    a_hi = np.multiply(a_lo, pick(scale_hi), out=a_hi)
     err += a_hi
-    a_lo *= scale_lo
+    del a_hi
+    a_lo *= pick(scale_lo)
     err += a_lo
     return p, err
 
@@ -113,9 +120,63 @@ def _scaled_digits(a, exp, pow10, pow10_hi, pow10_lo):
     Above 2**53 the rounded product ``p`` is an even integer, so rounding
     its rest ``err`` half to even rounds the sum half to even.
     """
-    k = 16 - exp
-    p, err = _two_product(a, pow10[k], pow10_hi[k], pow10_lo[k])
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+    p, err = _two_product(a, pow10, pow10_hi, pow10_lo, at=16 - exp)
+    digits = p.astype(np.int64)
+    del p
+    digits += np.rint(err, out=err).astype(np.int64)
+    return digits
+
+
+def _digit_groups(digits):
+    """The 17-digit ``int64`` ``digits`` as rows, shape ``(5, len(digits))``:
+    the leading digit plus 10 000, so that it indexes the quads table past
+    its 4-digit groups, then the four groups of four.
+
+    Each split is a floor division by a scalar and one subtraction, along
+    contiguous rows. numpy's integer ``//`` by a scalar runs as a multiply
+    and a shift, but its ``%`` and ``divmod`` run one hardware division per
+    element, three to four times slower on ``int64``. The halves of eight
+    digits fit ``int32``, whose division is faster still.
+    """
+    groups = np.empty((5, len(digits)), dtype=np.int32)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    lead += 10_000
+    groups[0] = lead
+    del lead
+    high = rest // 10**8
+    groups[2] = high
+    rest -= high * 10**8
+    groups[4] = rest
+    del high, rest
+    # rows 2 and 4 hold the two halves of eight digits: split both at once
+    np.floor_divide(groups[2::2], 10**4, out=groups[1::2])
+    groups[2::2] -= groups[1::2] * 10**4
+    return groups
+
+
+def _lay_out(source, counts):
+    """The cells of values sorted by kind ``2 * (E + 4) + sign``, ``counts``
+    of each kind, from their 17 digits ``source``: the ``-``, then the
+    digits with the ``.`` after digit ``E``, or ``0.`` and ``-E - 1``
+    zeros first when ``E < 0``. One slice per part and kind."""
+    cells = np.zeros((len(source), CELL), dtype=np.uint8)
+    lo = 0
+    for kind, count in enumerate(counts):
+        if not count:
+            continue
+        e, sign = kind // 2 - 4, kind % 2
+        cell, src, lo = cells[lo : lo + count], source[lo : lo + count], lo + count
+        if sign:
+            cell[:, 0] = ord("-")
+        if e >= 0:
+            cell[:, sign : sign + e + 1] = src[:, : e + 1]
+            cell[:, sign + e + 1] = ord(".")
+            cell[:, sign + e + 2 : sign + 18] = src[:, e + 1 :]
+        else:
+            cell[:, sign : sign + 1 - e] = np.frombuffer(b"0.000"[: 1 - e], dtype=np.uint8)
+            cell[:, sign + 1 - e : sign + 18 - e] = src
+    return cells
 
 
 def fallback_cells(values: np.ndarray, spec: str = FLOAT_SPEC, width: int = CELL) -> np.ndarray:
@@ -131,70 +192,79 @@ def float_cells(values) -> np.ndarray:
     byte, left-justified in NUL-padded rows of shape ``(len(values), 24)``.
 
     In the fast range ``1e-4 <= |v| < 1e16``, ``%.17g`` writes the 17-digit
-    rounding ``D * 10**(E - 16)`` in fixed notation. ``E`` comes from
-    ``log10`` and is corrected until ``D`` has 17 digits, which also takes
-    a rounding that carries to ``10**17``; ``10**(16 - E)`` is an exact
-    double there, so ``D`` is exact (:func:`_scaled_digits`). The digits
-    come from a table of 4-digit groups. Values are grouped by sign and
-    ``E``, and each group is laid out with slices: the ``.`` after digit
-    ``E``, or ``0.`` and ``-E - 1`` zeros first when ``E < 0``. The cell
-    then ends at the last nonzero digit of the fraction, or before the
-    ``.`` when there is none. Every other value (zeros, subnormals, large,
-    tiny and non-finite ones) goes to :func:`fallback_cells`.
+    rounding ``D * 10**(E - 16)`` in fixed notation. The steps:
+
+    1. ``E`` comes from ``log10`` and ``D`` from Dekker's exact product by
+       ``10**(16 - E)``, an exact double there (:func:`_scaled_digits`).
+       ``E`` is corrected until ``D`` has 17 digits, which also takes a
+       rounding that carries to ``10**17``.
+    2. The values are sorted by sign and ``E``, their layout.
+    3. ``D`` is split into its leading digit and four groups of four, by
+       floor division (:func:`_digit_groups`).
+    4. The cell's length: it ends at the last nonzero digit of the
+       fraction, or before the ``.`` when there is none. That digit is
+       found from the last group's trailing zeros, and from an earlier
+       group's only for the values whose later groups are all zero.
+    5. The digits come from a table of 4-digit groups, and each layout is
+       written with slices (:func:`_lay_out`); the length cuts the cell.
+    6. The cells are put back in the input's order, and every other value
+       (zeros, subnormals, large, tiny and non-finite ones) goes to
+       :func:`fallback_cells`.
+
+    Each temporary is freed once spent: a call peaks near 65 bytes a
+    value, the 24 of the cells included.
     """
     quads, zeros, pow10, pow10_hi, pow10_lo, keep = _cell_tables()
     x = np.asarray(values, dtype=np.float64)
     a = np.abs(x)
     slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
     a[slow] = 1.0
-    exp = np.floor(np.log10(a)).astype(np.int64)
+    exp = np.floor(np.log10(a)).astype(np.int8)
     digits = _scaled_digits(a, exp, pow10, pow10_hi, pow10_lo)
     while True:
-        up, down = digits >= 10**17, digits < 10**16
-        off = np.flatnonzero(up | down)
+        off = np.flatnonzero((digits - 10**16).view(np.uint64) >= 9 * 10**16)
         if not off.size:
             break
-        exp[off] += up[off].astype(np.int64) - down[off]
-        digits[off] = _scaled_digits(a[off], exp[off], pow10, pow10_hi, pow10_lo)
+        fix = digits.take(off)
+        exp[off] += (fix >= 10**17).view(np.int8) - (fix < 10**16).view(np.int8)
+        digits[off] = _scaled_digits(a.take(off), exp.take(off), pow10, pow10_hi, pow10_lo)
+    del a
     # one layout per sign and exponent: sort the values by it
     neg = np.signbit(x)
-    layout = (2 * (exp + 4) + neg).astype(np.uint8)
+    layout = (exp + 4).view(np.uint8)
+    layout <<= 1
+    layout |= neg
     order = np.argsort(layout, kind="stable")
     counts = np.bincount(layout, minlength=40).tolist()
-    digits, exp, neg = digits[order], exp[order], neg[order]
-    # the 17 digits at bytes 3..19: the leading one, then four groups of four
-    lead, rest = np.divmod(digits, 10**16)
-    groups = np.empty((len(x), 4), dtype=np.int64)
-    groups[:, 0], groups[:, 1] = np.divmod(rest // 10**8, 10**4)
-    groups[:, 2], groups[:, 3] = np.divmod(rest % 10**8, 10**4)
-    source = np.empty((len(x), 20), dtype=np.uint8)
-    source[:, 3] = lead + ord("0")
-    source[:, 4:].view(np.uint32)[...] = quads.take(groups)
-    source = source[:, 3:]
-    sorted_cells = np.zeros((len(x), CELL), dtype=np.uint8)
-    lo = 0
-    for kind, count in enumerate(counts):
-        if not count:
-            continue
-        e, sign = kind // 2 - 4, kind % 2
-        cell, src, lo = sorted_cells[lo : lo + count], source[lo : lo + count], lo + count
-        if sign:
-            cell[:, 0] = ord("-")
-        if e >= 0:
-            cell[:, sign : sign + e + 1] = src[:, : e + 1]
-            cell[:, sign + e + 1] = ord(".")
-            cell[:, sign + e + 2 : sign + 18] = src[:, e + 1 :]
-        else:
-            cell[:, sign : sign + 1 - e] = np.frombuffer(b"0.000"[: 1 - e], dtype=np.uint8)
-            cell[:, sign + 1 - e : sign + 18 - e] = src
-    # index of the last nonzero digit, from the groups' trailing zeros
-    tz = zeros.take(groups)
-    last = 16 - (tz[:, 3] + (tz[:, 3] == 4) * (
-        tz[:, 2] + (tz[:, 2] == 4) * (tz[:, 1] + (tz[:, 1] == 4) * tz[:, 0])))
-    length = np.where(exp < 0, last + 2 - exp, np.where(last <= exp, exp + 1, last + 2)) + neg
-    sorted_cells *= keep.take(length, axis=0)
+    del layout
+    digits, exp, neg = digits.take(order), exp.take(order), neg.take(order).view(np.int8)
+    groups = _digit_groups(digits)
+    del digits
+    # index of the last nonzero digit: the last group's trailing zeros, then
+    # an earlier group's for the values whose later groups are all zero
+    last = 16 - zeros.take(groups[4])
+    for g in (3, 2, 1):
+        at = np.flatnonzero(last == 4 * g)
+        if not at.size:
+            break
+        last[at] -= zeros.take(groups[g].take(at))
+    length = np.where(last > exp, last + 2 - np.minimum(exp, 0), exp + 1) + neg
+    del last, exp, neg
+    # the 17 digits as rows of bytes: four each per group, the leading one
+    # in the last byte of its word
+    words = np.empty((5, len(x)), dtype=np.uint32)
+    for g in range(5):
+        quads.take(groups[g], out=words[g], mode="clip")
+    del groups
+    source = np.ascontiguousarray(words.T).view(np.uint8)[:, 3:]
+    del words
+    sorted_cells = _lay_out(source, counts)
+    del source
+    sorted_cells &= keep.take(length, axis=0)
+    del length
     rank = np.empty_like(order)
     rank[order] = np.arange(len(x))
+    del order
     cells = sorted_cells.take(rank, axis=0)
     if slow.size:
         cells[slow] = fallback_cells(x[slow])
@@ -230,10 +300,12 @@ def pixel_cells(values) -> np.ndarray:
     cents += (half == 0.5) & (err > 0)
     cents -= (half == -0.5) & (err < 0)
     del half, err
-    whole, frac = np.divmod(cents, 100)
-    del cents
-    high, low = np.divmod(whole, 10_000)
-    del whole
+    # floor division by scalars and a subtraction each, as in float_cells:
+    # the cents become the fraction, then the whole part its low group
+    whole = cents // 100
+    frac = np.subtract(cents, whole * 100, out=cents)
+    high = whole // 10_000
+    low = np.subtract(whole, high * 10_000, out=whole)
     # words: the sign, four integer digits, four more, then "." and the cents
     words = np.empty((len(x), 4), dtype=np.uint32)
     words[:, 0] = np.signbit(x) * minus
