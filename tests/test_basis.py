@@ -20,6 +20,7 @@ from shiftknot import (
     basis_value,
     basis_value_in_frame,
     binomial_row,
+    decasteljau_triangle,
     domain,
     elevate_many,
     elevation_matrix,
@@ -157,9 +158,15 @@ class TestDomain:
                     domain(make_config(*shift), n).admit(t, clamp)
 
     @pytest.mark.parametrize("clamp", [False, True])
-    def test_admission_keeps_negative_zero(self, clamp):
+    @pytest.mark.parametrize("alpha", [0.0, -0.0], ids=repr)
+    def test_admission_returns_an_equal_end_itself(self, alpha, clamp):
+        # the zero of the other sign equals lo, so it admits as lo, sign and all
         for n in (1, 3, MAX_DEGREE):
-            assert repr(domain(make_config(0, 0), n).admit(-0.0, clamp)) == "-0.0"
+            dom = domain(make_config(alpha, 0), n)
+            for t in (0.0, -0.0):
+                assert repr(dom.admit(t, clamp)) == repr(alpha), (n, t)
+            got = dom.admit_array([-alpha, 0.5, alpha, -alpha, dom.hi], clamp)
+            assert_bits_equal(got, np.array([alpha, 0.5, alpha, alpha, dom.hi]), f"degree {n}")
 
     def test_unit_maps_roundtrip(self):
         dom = domain(make_config(4, 6), 3)
@@ -740,3 +747,71 @@ def test_integer_argument_range_after_warm_up(entry, value):
         binomial_row(n)
         binomial_row(np.int64(n))
     test_integer_argument_range(entry, value)
+
+
+def _zero_end_routes(cfg):
+    """Every route that admits a parameter, as ``name: call(t, clamp)``,
+    on a degree-3 curve and a degree-(3, 2) patch whose first control point
+    holds signed zeros, so a ``-0.0`` weight would show in the output."""
+    control = np.array([[-0.0, 0.0], [1.0, -0.0], [-2.0, 3.0], [0.5, -0.0]])
+    curve = Curve(cfg, control)
+    net = np.random.default_rng(7).choice([-0.0, 0.0, -1.0, 2.0], size=(4, 3, 2))
+    net[0, 0] = [-0.0, 0.0]
+    patch = SurfacePatch(cfg, net)
+    mid = curve.domain.from_unit(0.5)
+    routes = {
+        "basis_row": lambda t, c: basis_row(cfg, 3, t, clamp=c),
+        "basis_rows": lambda t, c: basis_rows(cfg, 3, [t, mid, t], clamp=c),
+        "basis_row_by_recurrence": lambda t, c: basis_row_by_recurrence(cfg, 3, t, clamp=c),
+        "basis_value": lambda t, c: [basis_value(cfg, (3, k), t, clamp=c) for k in range(4)],
+        "basis_value_in_frame": lambda t, c: [
+            basis_value_in_frame(cfg, 3, 2, k, t, clamp=c) for k in range(3)
+        ],
+        "basis_derivative": lambda t, c: [
+            basis_derivative(cfg, (3, k), t, clamp=c) for k in range(4)
+        ],
+        "step_matrix": lambda t, c: step_matrix(cfg, 3, 1, t, clamp=c),
+        "eval_direct": lambda t, c: eval_direct(curve, t, clamp=c),
+        "eval_decasteljau": lambda t, c: eval_decasteljau(curve, t, clamp=c),
+        "eval_matrix_form": lambda t, c: eval_matrix_form(curve, t, clamp=c),
+        "decasteljau_triangle": lambda t, c: np.concatenate(
+            decasteljau_triangle(curve, t, clamp=c).levels
+        ),
+        "eval_patch": lambda t, c: [eval_patch(patch, t, t, clamp=c),
+                                    eval_patch(patch, t, mid, clamp=c),
+                                    eval_patch(patch, mid, t, clamp=c)],
+        "eval_patch_decasteljau": lambda t, c: [eval_patch_decasteljau(patch, t, t, clamp=c),
+                                                eval_patch_decasteljau(patch, t, mid, clamp=c),
+                                                eval_patch_decasteljau(patch, mid, t, clamp=c)],
+        "sample_patch": lambda t, c: sample_patch(patch, [t, mid], [mid, t], clamp=c),
+        "isoparam_u": lambda t, c: isoparam_u(patch, t, clamp=c).control,
+        "isoparam_v": lambda t, c: isoparam_v(patch, t, clamp=c).control,
+    }
+    for algorithm in ("direct", "decasteljau", "matrix"):
+        routes[f"sample_curve[{algorithm}]"] = (
+            lambda t, c, a=algorithm: sample_curve(curve, [t, mid, t], algorithm=a, clamp=c)
+        )
+    return routes
+
+
+class TestZeroAtTheLowEnd:
+    """On a domain whose ``lo`` is a zero, the zero of the other sign
+    admits as ``lo`` itself, so every route gives it ``lo``'s bits."""
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, -0.0], ids=repr)
+    def test_both_zeros_give_the_bits_of_lo(self, alpha, clamp):
+        cfg = make_config(alpha, 0)
+        for name, route in _zero_end_routes(cfg).items():
+            want = np.array(route(alpha, clamp), dtype=float)
+            assert_bits_equal(np.array(route(-alpha, clamp), dtype=float), want, name)
+
+    def test_rows_carry_no_negative_zero(self):
+        # the closed form and the pyramid agree on the sign of every zero
+        for alpha in (0.0, -0.0):
+            cfg = make_config(alpha, 0)
+            for t in (0.0, -0.0):
+                for n in (1, 2, 3, 12, MAX_DEGREE):
+                    row = basis_row(cfg, n, t)
+                    assert not np.signbit(row).any(), (alpha, t, n)
+                    assert_bits_equal(basis_row_by_recurrence(cfg, n, t), row, f"{alpha, t, n}")

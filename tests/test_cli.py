@@ -410,6 +410,22 @@ class TestArgumentErrors:
         assert proc.stdout == ""
         assert proc.stderr == "shiftknot: error: sample count must be at least 2, got 1\n"
 
+    def test_elevate_past_max_degree_exits_one(self, tmp_path):
+        path = tmp_path / "degree64.json"
+        save_curve(Curve(make_config(4, 6), np.zeros((65, 2))), path)
+        proc = run_cli("elevate", str(path), "--levels", "1", expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr == "shiftknot: error: elevating degree 64 by 1 exceeds MAX_DEGREE 64\n"
+
+    @pytest.mark.parametrize("alpha", ["0", "-0.0"])
+    def test_range_from_either_zero_starts_at_the_domain_end(self, alpha):
+        # the zero of the other sign admits as lo itself, so the grid and
+        # its printed first t are those of the whole domain
+        argv = ["basis", "--alpha", alpha, "--beta", "0", "--degree", "3", "--samples", "3"]
+        whole = run_cli(*argv).stdout
+        for start in ("0", "-0"):
+            assert run_cli(*argv, "--range", start, "1").stdout == whole, start
+
     @pytest.mark.parametrize("command", ["basis", "curve-sample"])
     def test_infinite_range_end_with_clamp_exits_one(self, command, curve_file):
         # --clamp pulls finite values only, as curve-eval's does

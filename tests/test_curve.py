@@ -435,6 +435,15 @@ class TestElevation:
         with pytest.raises(ConstraintError):
             elevate_many(c, -1)
 
+    @pytest.mark.parametrize("degree, levels", [(MAX_DEGREE, 1), (MAX_DEGREE, 3), (60, 5)])
+    def test_elevate_many_past_max_degree_names_the_limit(self, degree, levels):
+        c = Curve(make_config(4, 6), np.zeros((degree + 1, 2)))
+        match = f"elevating degree {degree} by {levels} exceeds MAX_DEGREE {MAX_DEGREE}"
+        with pytest.raises(ConstraintError, match=match):
+            elevate_many(c, levels)
+        if degree < MAX_DEGREE:
+            assert elevate_many(c, MAX_DEGREE - degree).degree == MAX_DEGREE
+
     def test_control_polygon_converges_to_curve(self):
         c = parabola_curve()
         samples = sample_curve(c, c.domain.grid(200))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,6 +16,8 @@ from shiftknot import (
     elevate_patch,
     elevation_matrix,
     eval_decasteljau,
+    eval_direct,
+    eval_matrix_form,
     eval_patch,
     eval_patch_decasteljau,
     isoparam_u,
@@ -22,6 +25,7 @@ from shiftknot import (
     make_config,
     sample_patch,
 )
+from shiftknot.basis import _domain
 
 import _classical
 from _helpers import (
@@ -128,6 +132,33 @@ class TestPatchContainer:
             SurfacePatch(make_config(0, 0), np.zeros((2, 2)))
         with pytest.raises(ConstraintError):
             SurfacePatch(make_config(0, 0), np.zeros((1, 3, 2)))
+
+
+class TestPerCallWork:
+    def test_single_point_routes_look_up_no_domain(self):
+        # a geometry holds its domains once built, so a point costs no
+        # domain() call, not even a cache hit
+        cfg = make_config(4, 6)
+        rng = np.random.default_rng(12)
+        c = Curve(cfg, rng.uniform(-5, 5, size=(4, 3)))
+        p = SurfacePatch(cfg, rng.uniform(-5, 5, size=(4, 3, 3)))
+        assert c.domain is domain(c.config, c.degree)
+        assert p.domain_u is domain(cfg, 3) and p.domain_v is domain(cfg, 2)
+        t, u, v = c.domain.from_unit(0.3), p.domain_u.from_unit(0.6), p.domain_v.from_unit(0.2)
+        routes = {
+            "eval_direct": lambda: eval_direct(c, t),
+            "eval_decasteljau": lambda: eval_decasteljau(c, t),
+            "eval_matrix_form": lambda: eval_matrix_form(c, t),
+            "eval_patch": lambda: eval_patch(p, u, v),
+            "eval_patch_decasteljau": lambda: eval_patch_decasteljau(p, u, v),
+        }
+        for name, route in routes.items():
+            before = _domain.cache_info()
+            route()
+            assert _domain.cache_info() == before, name
+        assert [f.name for f in dataclasses.fields(Curve)] == ["config", "control"]
+        assert [f.name for f in dataclasses.fields(SurfacePatch)] == ["config", "net"]
+        assert c.domain is domain(c.config, c.degree)
 
 
 class TestEvaluation:
