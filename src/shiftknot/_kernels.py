@@ -33,6 +33,12 @@ _BLEND_BUDGET = 2**18
 # scratch, 256 KiB each, stay in L2 while a level streams through them.
 _PYRAMID_BUDGET = 2**15
 
+# Largest control polygon, in doubles, whose single-point pyramid runs on a
+# list of Python floats. A level costs numpy three calls whatever its size,
+# and Python one multiply-add per double of the level; on one CPU of a
+# 2-vCPU Xeon they took equal time at 39-40 doubles, at every dim from 1 to 4.
+_LIST_PYRAMID_MAX = 39
+
 
 def powers(w, n):
     """``[w**0, w**1, ..., w**n]`` as running products of Python floats:
@@ -81,11 +87,17 @@ def decasteljau_batch(control, wl, wr):
     weights, ``(len(wl), dim)`` for arrays.
 
     ``wl``/``wr`` are the left/right convex weights; they stay constant
-    across pyramid levels. The levels are updated in place in a
-    ``(rows, dim)`` buffer for floats and a ``(rows, dim, samples)`` one
-    for arrays, so each weight runs along contiguous memory; every level
-    computes ``(wl * left) + (wr * right)``, the same float operations as
-    :func:`shiftknot.curve.decasteljau_triangle`.
+    across pyramid levels. Every level computes ``(wl * left) + (wr *
+    right)``, the same float operations as
+    :func:`shiftknot.curve.decasteljau_triangle`, wherever it runs:
+
+    - float weights and at most ``_LIST_PYRAMID_MAX`` control doubles: on a
+      flat row-major list of Python floats, where a level pairs each entry
+      with the one ``dim`` further on;
+    - float weights and a larger polygon: in place in a ``(rows, dim)``
+      buffer, three numpy calls per level;
+    - arrays: in place in a ``(rows, dim, samples)`` buffer, so each weight
+      runs along contiguous memory.
 
     For arrays, each level is updated in blocks of
     ``_PYRAMID_BUDGET // (dim * samples)`` rows, at least one, through one
@@ -96,6 +108,11 @@ def decasteljau_batch(control, wl, wr):
     """
     rows, dim = control.shape
     if not isinstance(wl, np.ndarray):
+        if control.size <= _LIST_PYRAMID_MAX:
+            work = control.ravel().tolist()
+            for _ in range(rows - 1):
+                work = [wl * a + wr * b for a, b in zip(work, work[dim:])]
+            return np.array(work)
         work = control.copy()
         # as 0-d arrays, the weights are not converted again on every level
         wl, wr = np.array(wl), np.array(wr)

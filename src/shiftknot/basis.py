@@ -110,6 +110,8 @@ class DomainInterval:
 
         Strict mode (the default) rejects anything outside the admission
         bounds; ``clamp=True`` pulls any finite value to the nearest end.
+        A ``t`` equal to an end comes back as that end itself, so the zero
+        of the other sign than ``lo`` is ``lo``.
         """
         t = float(t)
         if not self.admit_lo <= t <= self.admit_hi:  # NaN fails it too
@@ -120,7 +122,8 @@ class DomainInterval:
                     f"parameter {t!r} outside [{self.lo!r}, {self.hi!r}]"
                     f" for degree {self.degree}"
                 )
-        return min(max(t, self.lo), self.hi)
+        # max and min return their first argument on a tie
+        return min(self.hi, max(self.lo, t))
 
     def admit_array(self, ts, clamp: bool = False) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
@@ -136,7 +139,11 @@ class DomainInterval:
                     f"parameter {offender!r} outside [{self.lo!r}, {self.hi!r}]"
                     f" for degree {self.degree}"
                 )
-        return np.clip(ts, self.lo, self.hi)
+        ts = np.clip(ts, self.lo, self.hi)
+        if self.lo == 0.0:
+            # np.clip keeps a zero of either sign; only a zero lo can tie so
+            np.copyto(ts, self.lo, where=ts == 0.0)
+        return ts
 
     def weights(self, t):
         """Normalized convex pair ``((hi - t) / width, (t - lo) / width)``.
@@ -225,7 +232,12 @@ def basis_value(config: ShiftedKnotConfig, idx, t: float, *, clamp: bool = False
 
 def basis_row(config: ShiftedKnotConfig, n: int, t: float, *, clamp: bool = False) -> np.ndarray:
     """All ``n + 1`` basis values at one parameter, in index order."""
-    dom = domain(config, n)
+    return _basis_row_on(domain(config, n), t, clamp)
+
+
+def _basis_row_on(dom: DomainInterval, t: float, clamp: bool) -> np.ndarray:
+    """:func:`basis_row` of the degree of an already-built domain, so a
+    curve or patch that holds its domains looks none up per point."""
     wl, wr = dom.weights(dom.admit(t, clamp))
     return _kernels.basis_rows_batch(wl, wr, binomial_row(dom.degree))
 
@@ -252,10 +264,6 @@ def basis_row_by_recurrence(
     """
     dom = domain(config, n)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    if math.copysign(1.0, wr) < 0:
-        # t = -0.0 on [+0.0, hi]: the recurrence and the closed form give the
-        # zeros the signs of wr**k, which the pyramid's +0.0 padding drops
-        return _kernels.basis_rows_batch(wl, wr, binomial_row(dom.degree))
     return _kernels.decasteljau_batch(np.eye(dom.degree + 1), wl, wr)
 
 

@@ -8,6 +8,8 @@ plus degree elevation and endpoint derivatives.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +19,8 @@ from .basis import (
     MAX_DEGREE,
     DomainInterval,
     ShiftedKnotConfig,
+    _basis_row_on,
     _check_int,
-    basis_row,
     basis_rows,  # noqa: F401  (perfbench's tracer wraps this module attribute)
     binomial_row,
     domain,
@@ -99,14 +101,16 @@ class Curve:
     def dimension(self) -> int:
         return self.control.shape[1]
 
-    @property
+    @functools.cached_property
     def domain(self) -> DomainInterval:
+        """The degree's interval, built on first use and then held. A
+        degenerate one raises on every use, as nothing is held."""
         return domain(self.config, self.degree)
 
 
 def eval_direct(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
     """Blend the control points with the basis row at ``t``."""
-    return _kernels.blend(basis_row(curve.config, curve.degree, t, clamp=clamp), curve.control)
+    return _kernels.blend(_basis_row_on(curve.domain, t, clamp), curve.control)
 
 
 def eval_decasteljau(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
@@ -125,7 +129,7 @@ def eval_matrix_form(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarr
     """
     dom = curve.domain
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return _step_products(curve.control, np.array([[wl]]), np.array([[wr]]))[0]
+    return _step_products(curve.control, wl, wr)[0]
 
 
 def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = False) -> np.ndarray:
@@ -176,23 +180,25 @@ def decasteljau_triangle(curve: Curve, t: float, *, clamp: bool = False) -> DeCa
     return DeCasteljauTriangle(tuple(levels))
 
 
-def _band_matrices(rows: int, wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
-    """One step matrix per sample, shape ``(len(wl), rows, rows + 1)``.
+def _band_matrices(rows: int, wl, wr) -> np.ndarray:
+    """One step matrix per sample, shape ``(samples, rows, rows + 1)``.
 
-    ``wl``/``wr`` are columns of shape ``(samples, 1)``. Row i of each
-    matrix holds ``wl`` at column i and ``wr`` at column i + 1; in the
-    flattened matrix those are every ``(rows + 2)``-th entry from 0 and 1.
+    ``wl``/``wr`` are floats, for one sample, or columns of shape
+    ``(samples, 1)``. Row i of each matrix holds ``wl`` at column i and
+    ``wr`` at column i + 1; in the flattened matrix those are every
+    ``(rows + 2)``-th entry from 0 and 1.
     """
-    mats = np.zeros((wl.shape[0], rows, rows + 1))
-    flat = mats.reshape(wl.shape[0], -1)
+    samples = wl.shape[0] if isinstance(wl, np.ndarray) else 1
+    mats = np.zeros((samples, rows, rows + 1))
+    flat = mats.reshape(samples, -1)
     flat[:, 0 :: rows + 2] = wl
     flat[:, 1 :: rows + 2] = wr
     return mats
 
 
-def _step_products(control: np.ndarray, wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
+def _step_products(control: np.ndarray, wl, wr) -> np.ndarray:
     """Apply all step matrices to the control polygon for every sample;
-    weights are columns as in :func:`_band_matrices`. Shape ``(samples, dim)``.
+    weights are as in :func:`_band_matrices`. Shape ``(samples, dim)``.
 
     Each level's step matrices are the top-left ``(rows, rows + 1)`` blocks
     of the first level's, so one band stack serves every level.
@@ -215,7 +221,7 @@ def step_matrix(
     dom = domain(config, n)
     r = _check_int(r, 1, dom.degree, "step index", IndexError)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return _band_matrices(dom.degree - r + 1, np.array([[wl]]), np.array([[wr]]))[0]
+    return _band_matrices(dom.degree - r + 1, wl, wr)[0]
 
 
 def elevation_matrix(n: int) -> np.ndarray:
@@ -249,7 +255,11 @@ def elevate(curve: Curve) -> Curve:
 
 def elevate_many(curve: Curve, levels: int) -> Curve:
     """Apply :func:`elevate` ``levels`` times."""
-    levels = _check_int(levels, 1, MAX_DEGREE - curve.degree, "elevation count", ConstraintError)
+    levels = _check_int(levels, 1, math.inf, "elevation count", ConstraintError)
+    if curve.degree + levels > MAX_DEGREE:
+        raise ConstraintError(
+            f"elevating degree {curve.degree} by {levels} exceeds MAX_DEGREE {MAX_DEGREE}"
+        )
     for _ in range(levels):
         curve = elevate(curve)
     return curve

@@ -26,6 +26,7 @@ from shiftknot import (
     sample_patch,
 )
 from shiftknot.basis import _domain
+from shiftknot.surface import _LIST_STENCIL_MAX, _stencil_arrays, _stencil_floats
 
 import _classical
 from _helpers import (
@@ -406,6 +407,35 @@ class TestPointRoutePins:
                 [*zip(us, vs), *zip(us, vs[::-1])],
                 f"elevated from degrees {(m, n)}",
             )
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_pyramid_matches_numpy_stencil_either_side_of_the_gate(self, dim):
+        # bit for bit, signed zeros included: nets of at most
+        # _LIST_STENCIL_MAX doubles run in Python floats, larger ones in numpy
+        rng = np.random.default_rng(dim + 20)
+        cfg = make_config(4, 6)
+        seen = set()
+        for m, n in itertools.product(range(1, 9), repeat=2):
+            net = rng.uniform(-5, 5, size=(m + 1, n + 1, dim))
+            zeros = rng.uniform(size=net.shape) < 1 / 3
+            net[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            p = SurfacePatch(cfg, net)
+            seen.add((np.sign(m - n), p.net.size <= _LIST_STENCIL_MAX))
+            dom_u, dom_v = p.domain_u, p.domain_v
+            # the ends give the weights 0 and 1 in each direction
+            us = [dom_u.lo, dom_u.hi, dom_u.from_unit(0.3)]
+            vs = [dom_v.lo, dom_v.hi, dom_v.from_unit(0.8)]
+            for u, v in itertools.product(us, vs):
+                (wlu, wru), (wlv, wrv) = dom_u.weights(u), dom_v.weights(v)
+                weights = (wlu * wlv, wlu * wrv, wru * wlv, wru * wrv)
+                poly = _stencil_arrays(p.net, *weights)
+                what = f"degrees {(m, n)} at {(u, v)}"
+                assert_bits_equal(_stencil_floats(p.net, *weights), poly, what)
+                if m != n:
+                    wl, wr = (wlu, wru) if m > n else (wlv, wrv)
+                    poly = _kernels.decasteljau_batch(poly, np.array([wl]), np.array([wr]))
+                assert_bits_equal(eval_patch_decasteljau(p, u, v), poly[0], what)
+        assert seen == {(s, below) for s in (-1, 0, 1) for below in (True, False)}
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (3, 2), (3, 3)])
