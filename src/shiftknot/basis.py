@@ -141,7 +141,8 @@ class DomainInterval:
                 )
         ts = np.clip(ts, self.lo, self.hi)
         if self.lo == 0.0:
-            # np.clip keeps a zero of either sign; only a zero lo can tie so
+            # np.clip keeps a zero whose sign differs from lo's; only a zero
+            # lo has an equal value of other bits
             np.copyto(ts, self.lo, where=ts == 0.0)
         return ts
 
