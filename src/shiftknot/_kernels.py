@@ -6,18 +6,25 @@ Kernels do no validation: callers pass the normalized convex pair
 row. The weights are either two floats, for one parameter, or two 1-D
 arrays of equal length, one entry per sample; a float pair gives the
 result of a one-element array pair with the sample axis dropped, bit for
-bit.
+bit. The step-matrix kernels take floats or ``(samples, 1)`` columns
+instead, and keep the sample axis for floats.
+
+Every BLAS call of the package is here, the ``matmul`` of :func:`blend` and
+:func:`step_products`: OpenBLAS's per-CPU kernels and thread split set
+those products' last bits.
 """
 
 import numpy as np
 
 __all__ = [
     "MAX_DEGREE",
+    "band_matrices",
     "basis_rows_batch",
     "blend",
     "decasteljau_batch",
     "patch_grid",
     "powers",
+    "step_products",
 ]
 
 # Highest supported degree; higher degrees are rejected rather than silently
@@ -161,3 +168,33 @@ def patch_grid(net, rows_u, rows_v):
     row per direction, ``(U, V, dim)`` for rows ``(U, m+1)`` and ``(V, n+1)``."""
     by_v = blend(rows_v, net.swapaxes(0, 1))
     return blend(rows_u, by_v.swapaxes(0, -2))
+
+
+def band_matrices(rows, wl, wr):
+    """One step matrix per sample, shape ``(samples, rows, rows + 1)``.
+
+    ``wl``/``wr`` are floats, for one sample, or columns of shape
+    ``(samples, 1)``. Row i of each matrix holds ``wl`` at column i and
+    ``wr`` at column i + 1; in the flattened matrix those are every
+    ``(rows + 2)``-th entry from 0 and 1.
+    """
+    samples = wl.shape[0] if isinstance(wl, np.ndarray) else 1
+    mats = np.zeros((samples, rows, rows + 1))
+    flat = mats.reshape(samples, -1)
+    flat[:, 0 :: rows + 2] = wl
+    flat[:, 1 :: rows + 2] = wr
+    return mats
+
+
+def step_products(control, wl, wr):
+    """Apply all step matrices to the control polygon for every sample;
+    weights are as in :func:`band_matrices`. Shape ``(samples, dim)``.
+
+    Each level's step matrices are the top-left ``(rows, rows + 1)`` blocks
+    of the first level's, so one band stack serves every level.
+    """
+    mats = band_matrices(control.shape[0] - 1, wl, wr)
+    vec = control
+    for rows in range(control.shape[0] - 1, 0, -1):
+        vec = mats[:, :rows, : rows + 1] @ vec
+    return vec[:, 0]

@@ -3,8 +3,9 @@
 Subcommands: ``basis``, ``curve-eval``, ``curve-sample``, ``elevate``,
 ``surface-sample``. Output is CSV, JSON, or SVG and is byte-deterministic
 for identical invocations. Every table and SVG polyline is text from one
-grid writer, :func:`_rows`; each command returns its output as blocks of
-bytes, which :func:`_emit` writes as they are to the destination.
+grid writer, :func:`_rows`, and every other JSON value from
+``files._json_text``; each command returns its output as blocks of bytes,
+which :func:`_emit` writes as they are to the destination.
 
 Exit codes: 0 on success, 1 for domain or constraint violations, 2 for
 unreadable or malformed input (including bad command lines, which argparse
@@ -33,6 +34,7 @@ from .curve import (
 from .errors import ConstraintError, DomainError, GeometryError
 from .files import (
     FileFormatError,
+    _json_text,
     curve_to_json,
     format_float,
     load_curve,
@@ -70,12 +72,6 @@ def _sample_grid(dom, samples: int, range_pair, clamp: bool) -> np.ndarray:
         if not lo < hi:
             raise DomainError("--range does not intersect the valid domain")
     return _grid(lo, hi, samples)
-
-
-def _json_value(value) -> str:
-    if isinstance(value, tuple):
-        return "[" + ", ".join(map(format_float, value)) + "]"
-    return str(value) if isinstance(value, int) else format_float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +138,7 @@ def _table(fmt: str, names, columns, meta=()) -> list[bytes]:
         literals = ["", *[","] * (len(names) - 1), "\n"]
         sep, tail = "\n", "\n"
     else:
-        head = "{\n" + "".join(f' "{k}": {_json_value(v)},\n' for k, v in meta)
+        head = "{\n" + "".join(f' "{k}": {_json_text(v)},\n' for k, v in meta)
         head += ' "samples": [\n  '
         literals = [f'{{"{names[0]}": ', *(f', "{name}": ' for name in names[1:]), "},\n  "]
         sep, tail = ",\n  ", "\n ]\n}\n"
@@ -159,22 +155,23 @@ def _table(fmt: str, names, columns, meta=()) -> list[bytes]:
     return blocks
 
 
-def _svg_render(stacks, bbox, *, annotations=(), attrs="") -> list[bytes]:
+def _svg_render(xs, ys, strokes, cross_strokes, bbox, domains, *, annotations=()) -> list[bytes]:
     """Fixed 640x480 viewport; ``bbox`` is the unpadded data extent.
 
-    Each of ``stacks`` is ``(xs, ys, strokes, cross_strokes)``: float
-    arrays ``xs`` and ``ys`` in data coordinates that broadcast to shape
-    ``(lines, count)``, drawn as polyline ``i`` in ``strokes[i]`` for each
-    line, then as polyline ``[:, j]`` in ``cross_strokes[j]`` for each
-    column that has a stroke. A stack's pixels are computed by one array
+    ``xs`` and ``ys`` are float arrays in data coordinates that broadcast
+    to shape ``(lines, count)``, drawn as polyline ``i`` in ``strokes[i]``
+    for each line, then as polyline ``[:, j]`` in ``cross_strokes[j]`` for
+    each column that has a stroke. The pixels are computed by one array
     operation per coordinate and written by one :func:`_rows` call, so each
     point's text, and each value that ``xs`` or ``ys`` broadcasts, is made
-    once.
+    once. Each ``(name, DomainInterval)`` of ``domains`` becomes the root's
+    attribute ``data-<name>="lo hi"``; each ``(x, label)`` of
+    ``annotations`` a tick at ``x`` on the bottom edge.
 
     Raises ``ConstraintError`` when the extent is too wide or too narrow
     for float64 to place every point at a finite pixel.
     """
-    from ._cells import pixel_cells
+    from ._cells import PIXEL_SPEC, pixel_cells
 
     width, height = 640, 480
     xmin, xmax, ymin, ymax = bbox
@@ -191,40 +188,36 @@ def _svg_render(stacks, bbox, *, annotations=(), attrs="") -> list[bytes]:
     # the ticks' formula elementwise: the same IEEE operations and rounding;
     # an overflowed extent (0 * inf) is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        pixel_stacks = [((xs - xmin) * sx, height - (ys - ymin) * sy, strokes, cross_strokes)
-                        for xs, ys, strokes, cross_strokes in stacks]
+        px, py = (xs - xmin) * sx, height - (ys - ymin) * sy
     if not (math.isfinite(sx) and math.isfinite(sy)
             and all(math.isfinite(tick) for tick, _ in ticks)
-            and all(np.isfinite(px).all() and np.isfinite(py).all()
-                    for px, py, _, _ in pixel_stacks)):
+            and np.isfinite(px).all() and np.isfinite(py).all()):
         raise ConstraintError(
             "SVG output cannot place the data extent"
             f" [{bbox[0]!r}, {bbox[1]!r}] x [{bbox[2]!r}, {bbox[3]!r}] at finite pixels"
         )
 
+    attrs = "".join(f' data-{name}="{format_float(dom.lo)} {format_float(dom.hi)}"'
+                    for name, dom in domains)
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}"{attrs}>'
     ]
     for tick, label in ticks:
-        head.append(
-            f'<line x1="{tick:.2f}" y1="{height - 10}" x2="{tick:.2f}" y2="{height}"'
-            ' stroke="#333333" stroke-width="1"/>'
-        )
-        head.append(
-            f'<text x="{tick:.2f}" y="{height - 14}" font-size="11"'
-            f' font-family="monospace" text-anchor="middle">{label}</text>'
-        )
+        tick = PIXEL_SPEC % tick
+        head += [f'<line x1="{tick}" y1="{height - 10}" x2="{tick}" y2="{height}"'
+                 ' stroke="#333333" stroke-width="1"/>',
+                 f'<text x="{tick}" y="{height - 14}" font-size="11"'
+                 f' font-family="monospace" text-anchor="middle">{label}</text>']
     blocks = ["".join(line + "\n" for line in head).encode()]
-    for px, py, strokes, cross_strokes in pixel_stacks:
-        # one row per point, "x,y "; the NUL padding and each line's last " " dropped
-        text = _rows(pixel_cells, ["", ",", " "], [px, py])
-        for lines, line_strokes in ((text, strokes), (text.swapaxes(0, 1), cross_strokes)):
-            for line, stroke in zip(lines, line_strokes):
-                blocks.append(
-                    f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5" points="'.encode()
-                    + line.tobytes().translate(None, b"\0")[:-1] + b'"/>\n'
-                )
+    # one row per point, "x,y "; the NUL padding and each line's last " " dropped
+    text = _rows(pixel_cells, ["", ",", " "], [px, py])
+    for lines, line_strokes in ((text, strokes), (text.swapaxes(0, 1), cross_strokes)):
+        for line, stroke in zip(lines, line_strokes):
+            blocks.append(
+                f'<polyline fill="none" stroke="{stroke}" stroke-width="1.5" points="'.encode()
+                + line.tobytes().translate(None, b"\0")[:-1] + b'"/>\n'
+            )
     blocks.append(b"</svg>\n")
     return blocks
 
@@ -265,9 +258,8 @@ def cmd_basis(args) -> list[bytes]:
         return _table(args.format, ["t", "k", "value"], [ts[:, None], k[None], rows], meta)
     strokes = [_PALETTE[k % len(_PALETTE)] for k in range(count)]
     bbox = (float(ts[0]), float(ts[-1]), min(0.0, float(rows.min())), max(1.0, float(rows.max())))
-    attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
     annotations = [(dom.lo, format(dom.lo, ".6g")), (dom.hi, format(dom.hi, ".6g"))]
-    return _svg_render([(ts, rows.T, strokes, ())], bbox, annotations=annotations, attrs=attrs)
+    return _svg_render(ts, rows.T, strokes, (), bbox, [("domain", dom)], annotations=annotations)
 
 
 _EVALUATORS = {
@@ -283,9 +275,8 @@ def cmd_curve_eval(args) -> list[bytes]:
     point = _EVALUATORS[args.algorithm](curve, args.t, clamp=args.clamp)
     if not np.isfinite(point).all():
         raise ConstraintError(f"the point at t = {args.t!r} is not finite: {point.tolist()!r}")
-    coords = ", ".join(format_float(c) for c in point)
-    t = format_float(args.t)
-    return [f'{{"t": {t}, "algorithm": "{args.algorithm}", "point": [{coords}]}}\n'.encode()]
+    doc = {"t": args.t, "algorithm": args.algorithm, "point": point}
+    return [(_json_text(doc) + "\n").encode()]
 
 
 def cmd_curve_sample(args) -> list[bytes]:
@@ -303,8 +294,7 @@ def cmd_curve_sample(args) -> list[bytes]:
     else:
         xs, ys = points[:, 0], points[:, 1]
         bbox = tuple(float(f(ctrl[:, c])) for c in (0, 1) for f in (np.min, np.max))
-    attrs = f' data-domain="{format_float(dom.lo)} {format_float(dom.hi)}"'
-    return _svg_render([(xs[None], ys[None], _PALETTE[:1], ())], bbox, attrs=attrs)
+    return _svg_render(xs[None], ys[None], _PALETTE[:1], (), bbox, [("domain", dom)])
 
 
 def cmd_elevate(args) -> list[bytes]:
@@ -330,15 +320,11 @@ def cmd_surface_sample(args) -> list[bytes]:
     else:
         dropped = {"x": 0, "y": 1, "z": 2}[args.drop_axis]
         a, b = (c for c in range(3) if c != dropped)
-    # the u-lines, then the v-lines: the stack's columns
-    stack = (grid[..., a], grid[..., b], [_PALETTE[0]] * len(us), [_PALETTE[1]] * len(vs))
     flat = patch.net.reshape(-1, patch.dimension)
     bbox = tuple(float(f(flat[:, c])) for c in (a, b) for f in (np.min, np.max))
-    attrs = (
-        f' data-domain-u="{format_float(dom_u.lo)} {format_float(dom_u.hi)}"'
-        f' data-domain-v="{format_float(dom_v.lo)} {format_float(dom_v.hi)}"'
-    )
-    return _svg_render([stack], bbox, attrs=attrs)
+    # the u-lines, then the v-lines: the grid's columns
+    return _svg_render(grid[..., a], grid[..., b], [_PALETTE[0]] * len(us),
+                       [_PALETTE[1]] * len(vs), bbox, [("domain-u", dom_u), ("domain-v", dom_v)])
 
 
 # ---------------------------------------------------------------------------

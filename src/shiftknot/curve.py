@@ -3,7 +3,8 @@
 A curve of degree n is a convex blend of ``n + 1`` control points evaluated
 on the degree-n domain of its knot-shift pair. Three evaluation routes are
 provided (direct basis blend, de Casteljau pyramid, step-matrix products)
-plus degree elevation and endpoint derivatives.
+plus degree elevation and endpoint derivatives; their kernels, and every
+BLAS call, are in :mod:`shiftknot._kernels`.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def eval_matrix_form(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarr
     """
     dom = curve.domain
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return _step_products(curve.control, wl, wr)[0]
+    return _kernels.step_products(curve.control, wl, wr)[0]
 
 
 def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = False) -> np.ndarray:
@@ -146,7 +147,7 @@ def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = F
         out = np.empty((ts.shape[0], curve.dimension))
         for lo in range(0, ts.shape[0], _MATRIX_CHUNK):
             hi = lo + _MATRIX_CHUNK
-            out[lo:hi] = _step_products(curve.control, wl[lo:hi], wr[lo:hi])
+            out[lo:hi] = _kernels.step_products(curve.control, wl[lo:hi], wr[lo:hi])
         return out
     raise ConstraintError(f"unknown algorithm {algorithm!r}")
 
@@ -180,36 +181,6 @@ def decasteljau_triangle(curve: Curve, t: float, *, clamp: bool = False) -> DeCa
     return DeCasteljauTriangle(tuple(levels))
 
 
-def _band_matrices(rows: int, wl, wr) -> np.ndarray:
-    """One step matrix per sample, shape ``(samples, rows, rows + 1)``.
-
-    ``wl``/``wr`` are floats, for one sample, or columns of shape
-    ``(samples, 1)``. Row i of each matrix holds ``wl`` at column i and
-    ``wr`` at column i + 1; in the flattened matrix those are every
-    ``(rows + 2)``-th entry from 0 and 1.
-    """
-    samples = wl.shape[0] if isinstance(wl, np.ndarray) else 1
-    mats = np.zeros((samples, rows, rows + 1))
-    flat = mats.reshape(samples, -1)
-    flat[:, 0 :: rows + 2] = wl
-    flat[:, 1 :: rows + 2] = wr
-    return mats
-
-
-def _step_products(control: np.ndarray, wl, wr) -> np.ndarray:
-    """Apply all step matrices to the control polygon for every sample;
-    weights are as in :func:`_band_matrices`. Shape ``(samples, dim)``.
-
-    Each level's step matrices are the top-left ``(rows, rows + 1)`` blocks
-    of the first level's, so one band stack serves every level.
-    """
-    mats = _band_matrices(control.shape[0] - 1, wl, wr)
-    vec = control
-    for rows in range(control.shape[0] - 1, 0, -1):
-        vec = mats[:, :rows, : rows + 1] @ vec
-    return vec[:, 0]
-
-
 def step_matrix(
     config: ShiftedKnotConfig, n: int, r: int, t: float, *, clamp: bool = False
 ) -> np.ndarray:
@@ -221,7 +192,7 @@ def step_matrix(
     dom = domain(config, n)
     r = _check_int(r, 1, dom.degree, "step index", IndexError)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return _band_matrices(dom.degree - r + 1, wl, wr)[0]
+    return _kernels.band_matrices(dom.degree - r + 1, wl, wr)[0]
 
 
 def elevation_matrix(n: int) -> np.ndarray:

@@ -3,14 +3,18 @@
 Curves:   {"alpha": a, "beta": b, "degree": n, "control": [[x, y], ...]}
 Patches:  {"alpha": a, "beta": b, "degrees": [m, n], "control": [[[x, y, z], ...], ...]}
 
-Numbers are written with 17 significant digits so every double round-trips
-exactly; output is byte-deterministic for identical inputs.
+One writer, :func:`_json_text`, makes these and the CLI's JSON. Floats have
+17 significant digits, so every double round-trips exactly, the sign of zero
+too: the reader takes the literal ``-0`` as ``-0.0``. Output is
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .basis import make_config
 from .curve import Curve
@@ -43,38 +47,37 @@ def format_float(x: float) -> str:
     return FLOAT_SPEC % float(x)
 
 
-def _points_json(points) -> str:
-    rows = ", ".join("[" + ", ".join(format_float(c) for c in p) + "]" for p in points)
-    return "[" + rows + "]"
+def _json_text(value) -> str:
+    """One JSON value as text: a float by ``FLOAT_SPEC``, an int or a
+    string as JSON writes it, and a dict, list, tuple or array of these
+    with ``", "`` and ``": "`` separators."""
+    if isinstance(value, float):
+        return FLOAT_SPEC % value
+    if isinstance(value, (int, str)):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json_text(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    return "[" + ", ".join(map(_json_text, value)) + "]"
 
 
 def curve_to_json(curve: Curve) -> str:
-    return (
-        "{"
-        + f'"alpha": {format_float(curve.config.alpha)}, '
-        + f'"beta": {format_float(curve.config.beta)}, '
-        + f'"degree": {curve.degree}, '
-        + f'"control": {_points_json(curve.control)}'
-        + "}\n"
-    )
+    config = curve.config
+    return _json_text({"alpha": config.alpha, "beta": config.beta, "degree": curve.degree,
+                       "control": curve.control}) + "\n"
 
 
 def patch_to_json(patch: SurfacePatch) -> str:
-    m, n = patch.degrees
-    rows = ", ".join(_points_json(row) for row in patch.net)
-    return (
-        "{"
-        + f'"alpha": {format_float(patch.config.alpha)}, '
-        + f'"beta": {format_float(patch.config.beta)}, '
-        + f'"degrees": [{m}, {n}], '
-        + f'"control": [{rows}]'
-        + "}\n"
-    )
+    config = patch.config
+    return _json_text({"alpha": config.alpha, "beta": config.beta, "degrees": patch.degrees,
+                       "control": patch.net}) + "\n"
 
 
 def _load_dict(text: str) -> dict:
     try:
-        data = json.loads(text)
+        # FLOAT_SPEC writes -0.0 as "-0", which JSON reads as the integer 0
+        data = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     except ValueError as exc:
         # JSONDecodeError, or an integer literal past int's digit limit
         raise FileFormatError(f"not valid JSON: {exc}") from exc

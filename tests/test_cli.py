@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftknot import (Curve, SurfacePatch, eval_direct, make_config, sample_curve, save_curve,
-                       save_patch)
-from shiftknot import cli
+from shiftknot import (Curve, SurfacePatch, eval_direct, load_curve, make_config, sample_curve,
+                       save_curve, save_patch)
+from shiftknot import cli, files
 
 from _helpers import run_shiftknot
 
@@ -180,6 +180,14 @@ class TestCurveCommands:
         assert len(data["control"]) == 6
         np.testing.assert_allclose(data["control"][0], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(data["control"][-1], [3.0, 9.0], atol=1e-15)
+
+    def test_elevate_keeps_the_sign_of_a_zero_low_end(self, tmp_path):
+        source, out = tmp_path / "curve.json", tmp_path / "elevated.json"
+        save_curve(Curve(make_config(-0.0, 3.0), [[1.0, 1.0], [2.0, 0.0]]), source)
+        run_cli("elevate", str(source), "--output", str(out))
+        assert out.read_text().startswith('{"alpha": -0, "beta": 3, "degree": 2, "control": ')
+        back = load_curve(out)
+        assert math.copysign(1.0, back.config.alpha) == math.copysign(1.0, back.domain.lo) == -1.0
 
     def test_missing_file_exits_two(self):
         proc = run_cli("curve-eval", "/nonexistent/f.json", "0.5", expect=2)
@@ -766,11 +774,12 @@ class TestSvgPixels:
     @pytest.mark.parametrize("name, data, bbox", _SVG_CASES, ids=[c[0] for c in _SVG_CASES])
     def test_points_match_the_per_point_formula(self, name, data, bbox):
         series = [(data[:, 0], data[:, 1], "#000000"), (data[::3, 2], data[::3, 0], "#111111")]
-        # the first as a stack's one line, the second as another's one column
+        # the first as one call's one line, the second as another's one column
         (xs, ys, stroke), (cross_xs, cross_ys, cross_stroke) = series
-        stacks = [(xs[None], ys[None], [stroke], []),
-                  (cross_xs[:, None], cross_ys[:, None], [], [cross_stroke])]
-        svg = b"".join(cli._svg_render(stacks, bbox, annotations=[(bbox[0], "lo")])).decode()
+        calls = [(xs[None], ys[None], [stroke], []),
+                 (cross_xs[:, None], cross_ys[:, None], [], [cross_stroke])]
+        svg = "".join(b"".join(cli._svg_render(*call, bbox, (), annotations=[(bbox[0], "lo")]))
+                      .decode() for call in calls)
         written = re.findall(r'points="([^"]*)"', svg)
         expected = [_old_polyline(xs, ys, bbox) for xs, ys, _ in series]
         assert written == expected
@@ -941,7 +950,7 @@ def _old_table(fmt, names, axes, values, meta=()) -> str:
         row = ",".join(["%.17g"] * len(names))
         sep, tail = "\n", "\n"
     else:
-        head = "{\n" + "".join(f' "{k}": {cli._json_value(v)},\n' for k, v in meta)
+        head = "{\n" + "".join(f' "{k}": {files._json_text(v)},\n' for k, v in meta)
         head += ' "samples": [\n  '
         row = "{" + ", ".join(f'"{name}": %.17g' for name in names) + "}"
         sep, tail = ",\n  ", "\n ]\n}\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftknot import _kernels
-from shiftknot.curve import _band_matrices
+from shiftknot._kernels import band_matrices
 from shiftknot import (
     MAX_DEGREE,
     ConstraintError,
@@ -242,7 +242,7 @@ def _per_level_products(curve, ts):
     wl, wr = (hi - ts) / (hi - lo), (ts - lo) / (hi - lo)
     vec = curve.control
     for rows in range(curve.degree, 0, -1):
-        vec = _band_matrices(rows, wl, wr) @ vec
+        vec = band_matrices(rows, wl, wr) @ vec
     return vec[:, 0]
 
 

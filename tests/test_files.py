@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from shiftknot import files
 from shiftknot import (
     Curve,
     FileFormatError,
@@ -19,7 +20,7 @@ from shiftknot import (
     save_patch,
 )
 
-from _helpers import random_curve, random_patch
+from _helpers import assert_bits_equal, random_curve, random_patch
 
 
 class TestFloatFormat:
@@ -75,6 +76,71 @@ class TestPatchRoundTrip:
         np.testing.assert_array_equal(back.net, p.net)
 
 
+def _assert_same_file(back, original):
+    """Equal bit for bit: the shift pair, the domains and the points."""
+    got = [back.config.alpha, back.config.beta]
+    want = [original.config.alpha, original.config.beta]
+    if isinstance(original, Curve):
+        got += [back.domain.lo, back.domain.hi, *back.control.ravel()]
+        want += [original.domain.lo, original.domain.hi, *original.control.ravel()]
+    else:
+        doms = ("domain_u", "domain_v")
+        got += [x for d in doms for x in (getattr(back, d).lo, getattr(back, d).hi)]
+        want += [x for d in doms for x in (getattr(original, d).lo, getattr(original, d).hi)]
+        got += [*back.net.ravel()]
+        want += [*original.net.ravel()]
+    assert_bits_equal(np.array(got), np.array(want))
+
+
+# every spelling of FLOAT_SPEC that json.loads could take for another value:
+# "-0", the subnormal "4.9406564584124654e-324", the exponents of 1e-05 and
+# 1e300, and the whole number "10000000000000000"
+_SPELLINGS = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, -1e16, 1e300, 2.0, -3.0]
+
+
+class TestSignedZeroRoundTrip:
+    @pytest.mark.parametrize("alpha, beta", [(-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 5.0)])
+    def test_curve(self, alpha, beta):
+        c = Curve(make_config(alpha, beta), [[-0.0, 1.0], [2.0, -0.0], [0.0, -0.0]])
+        text = curve_to_json(c)
+        assert text.startswith(f'{{"alpha": {format_float(alpha)}, "beta": {format_float(beta)}')
+        _assert_same_file(parse_curve(text), c)
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 5.0)])
+    def test_patch(self, alpha, beta):
+        net = np.array([[[-0.0, 0.0, 1.0], [2.0, -0.0, -0.0]],
+                        [[0.0, -0.0, 3.0], [-0.0, 4.0, 0.0]]])
+        p = SurfacePatch(make_config(alpha, beta), net)
+        _assert_same_file(parse_patch(patch_to_json(p)), p)
+
+    def test_file_io_keeps_the_low_end(self, tmp_path):
+        c = Curve(make_config(-0.0, 1.0), [[-0.0], [1.0]])
+        save_curve(c, tmp_path / "curve.json")
+        back = load_curve(tmp_path / "curve.json")
+        assert np.copysign(1.0, back.domain.lo) == -1.0
+        _assert_same_file(back, c)
+
+    def test_every_spelling_of_the_writer(self):
+        c = Curve(make_config(-0.0, 1e16), np.array(_SPELLINGS).reshape(-1, 2))
+        _assert_same_file(parse_curve(curve_to_json(c)), c)
+        p = SurfacePatch(make_config(5e-324, 1e300), np.array(_SPELLINGS[:8]).reshape(2, 2, 2))
+        _assert_same_file(parse_patch(patch_to_json(p)), p)
+
+    def test_the_writer_on_ints_tuples_and_numpy_rows(self):
+        value = {"n": 7, "pair": (-0.0, 1e16), "rows": np.array([_SPELLINGS[:5], _SPELLINGS[5:]]),
+                 "name": "direct"}
+        text = files._json_text(value)
+        assert text == (
+            '{"n": 7, "pair": [-0, 10000000000000000], "rows": [[-0, 0, 4.9406564584124654e-324,'
+            ' -4.9406564584124654e-324, 1.0000000000000001e-05], [10000000000000000,'
+            ' -10000000000000000, 1.0000000000000001e+300, 2, -3]], "name": "direct"}'
+        )
+        back = files._load_dict(text)
+        assert back["n"] == 7 and type(back["n"]) is int and back["name"] == "direct"
+        assert_bits_equal(np.array(back["pair"]), np.array(value["pair"]))
+        assert_bits_equal(np.array(back["rows"]), value["rows"])
+
+
 class TestMalformedInput:
     def test_not_json(self):
         with pytest.raises(FileFormatError, match="not valid JSON"):
@@ -98,6 +164,9 @@ class TestMalformedInput:
             parse_curve('{"alpha": "zero", "beta": 0, "degree": 1, "control": [[0, 0], [1, 1]]}')
         with pytest.raises(FileFormatError, match="integer"):
             parse_curve('{"alpha": 0, "beta": 0, "degree": 1.5, "control": [[0, 0], [1, 1]]}')
+        # the literal -0 is the float -0.0, which is no degree
+        with pytest.raises(FileFormatError, match="must be an integer"):
+            parse_curve('{"alpha": 0, "beta": 0, "degree": -0, "control": [[0, 0], [1, 1]]}')
 
     def test_degree_count_mismatch(self):
         with pytest.raises(FileFormatError, match="control points"):

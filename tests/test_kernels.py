@@ -1,8 +1,10 @@
+import ast
 import itertools
 import math
 import operator
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,16 +196,24 @@ class TestNumpyVariants:
     def test_float_weights_match_one_sample_arrays(self, dim):
         # bit for bit, at every degree up to MAX_DEGREE, with both ends and
         # signed zeros among the points: polygons of at most
-        # _LIST_PYRAMID_MAX doubles take the list loop, larger ones numpy's
+        # _LIST_PYRAMID_MAX doubles take the list loop, larger ones numpy's.
+        # Besides the ends, the weights are a domain's at random parameters,
+        # so that wl is not always 1 - wr: a kernel that recomputed one
+        # weight from the other would fail here.
         rng = np.random.default_rng(dim)
-        sides = set()
+        sides, unpaired = set(), 0
         for n in range(1, MAX_DEGREE + 1):
             control = rng.uniform(-5, 5, size=(n + 1, dim))
             zeros = rng.uniform(size=control.shape) < 1 / 3
             control[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
             sides.add(control.size <= _kernels._LIST_PYRAMID_MAX)
-            for wr in [0.0, 1.0, -0.0, *rng.uniform(size=5).tolist()]:
-                wl = 1.0 - wr
+            pairs = [(1.0 - wr, wr) for wr in [0.0, 1.0, -0.0]]
+            for shift in PIN_SHIFTS:
+                dom = domain(make_config(*shift), n)
+                ts = [dom.admit(dom.from_unit(s), True) for s in rng.uniform(size=2).tolist()]
+                pairs += [dom.weights(t) for t in ts]
+            unpaired += sum(wl != 1.0 - wr for wl, wr in pairs)
+            for wl, wr in pairs:
                 arrays = np.array([wl]), np.array([wr])
                 assert_bits_equal(
                     _kernels.basis_rows_batch(wl, wr, binomial_row(n)),
@@ -216,6 +226,7 @@ class TestNumpyVariants:
                     f"pyramid, degree {n}, wr {wr!r}",
                 )
         assert sides == {True, False}
+        assert unpaired > 0
 
     def test_patch_grid_matches_einsum(self):
         rng = np.random.default_rng(3)
@@ -312,3 +323,33 @@ class TestScalarBatchConsistency:
         np.testing.assert_array_equal(
             basis_rows(cfg, 3, [t])[0], basis_row(cfg, 3, t)
         )
+
+
+# OpenBLAS's per-CPU kernels and its thread split set the last bits of its
+# products (ROADMAP, Baseline and item 13), so every BLAS call of the package
+# is kept in _kernels, where one reading finds them all.
+_BLAS_FUNCTIONS = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot"}
+
+
+def _blas_calls(path):
+    """``line: what`` of each ``@`` and each call of a BLAS function in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _BLAS_FUNCTIONS:
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+class TestBlasBoundary:
+    def test_only_kernels_calls_blas(self):
+        modules = sorted(Path(_kernels.__file__).parent.glob("*.py"))
+        assert len(modules) > 5
+        found = {path.name: _blas_calls(path) for path in modules if path.name != "_kernels.py"}
+        assert {name: calls for name, calls in found.items() if calls} == {}
+        # the walk finds what it looks for: blend's and the step products' calls
+        assert len(_blas_calls(Path(_kernels.__file__))) == 3

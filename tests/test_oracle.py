@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -164,3 +166,106 @@ class TestFloatAgreement:
             want = np.array([float(F(c)) for c in case["value"]])
             worst = max(worst, np.abs(got - want).max())
         assert worst <= 1e-12
+
+
+# Rational shift pairs of the paper-claim tests: classical, the usual
+# example, unequal fractions, equal shifts and a wide pair.
+PAPER_SHIFTS = [(0, 0), (4, 6), (F(1, 3), F(5, 2)), (F(7, 2), F(7, 2)), (1000, 10000)]
+
+
+def _params(alpha, beta, n, count, *, ends, seed):
+    """``count`` strictly increasing rational parameters of the degree-n
+    domain: random interior ones, and both ends too if ``ends``."""
+    lo, hi = domain_exact(alpha, beta, n)
+    inner = count - 2 if ends else count
+    cuts = sorted(random.Random(seed).sample(range(1, 97), inner))
+    units = [F(0), *(F(c, 97) for c in cuts), F(1)] if ends else [F(c, 97) for c in cuts]
+    return [lo + (hi - lo) * u for u in units]
+
+
+def _neville_pivots(matrix):
+    """The pivots ``p[i][j]``, ``i >= j``, of the Neville elimination of a
+    square matrix of Fractions: column by column, each row from the bottom
+    up loses its entry by a multiple of the row just above it. Fails if a
+    row would need an exchange: a zero above a nonzero entry."""
+    a = [list(row) for row in matrix]
+    size = len(a)
+    pivots = []
+    for j in range(size):
+        pivots += [a[i][j] for i in range(j, size)]
+        for i in range(size - 1, j, -1):
+            if a[i][j]:
+                assert a[i - 1][j], f"row {i} of column {j} needs a row exchange"
+                factor = a[i][j] / a[i - 1][j]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[i - 1])]
+    return pivots
+
+
+def _det(matrix):
+    """Determinant of a square matrix of Fractions by Gaussian elimination."""
+    a = [list(row) for row in matrix]
+    det = F(1)
+    for j in range(len(a)):
+        pivot = next((i for i in range(j, len(a)) if a[i][j]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != j:
+            a[j], a[pivot] = a[pivot], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, len(a)):
+            factor = a[i][j] / a[j][j]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[j])]
+    return det
+
+
+class TestPaperClaims:
+    """The paper's degree elevation and total positivity, in exact arithmetic."""
+
+    def test_the_checks_reject_what_is_not_totally_positive(self):
+        assert _neville_pivots([[F(1), F(2)], [F(3), F(4)]]) == [1, 3, -2]
+        with pytest.raises(AssertionError, match="row exchange"):
+            _neville_pivots([[F(0), F(1)], [F(1), F(0)]])
+        assert _det([[F(0), F(1)], [F(1), F(0)]]) == -1
+
+    @pytest.mark.parametrize("alpha, beta", PAPER_SHIFTS, ids=str)
+    def test_elevation_traces_the_same_curve(self, alpha, beta):
+        # the degree-(n+1) polygon over its own domain against the degree-n
+        # polygon over its domain, at equal normalized parameters
+        rng = random.Random(str((alpha, beta)))
+        for n in range(1, 13):
+            control = [[F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(2)]
+                       for _ in range(n + 1)]
+            elevated = [[sum(e * p[c] for e, p in zip(row, control)) for c in range(2)]
+                        for row in elevation_matrix_exact(n)]
+            lo, hi = domain_exact(alpha, beta, n)
+            lo_up, hi_up = domain_exact(alpha, beta, n + 1)
+            for u in [F(0), F(1, 7), F(1, 2), F(5, 9), F(1)]:
+                assert (eval_curve_exact(alpha, beta, elevated, lo_up + (hi_up - lo_up) * u)
+                        == eval_curve_exact(alpha, beta, control, lo + (hi - lo) * u)), (n, u)
+
+    @pytest.mark.parametrize("alpha, beta", PAPER_SHIFTS, ids=str)
+    def test_collocation_matrices_are_totally_positive(self, alpha, beta):
+        # Gasca & Pena: a nonsingular matrix is totally positive when the
+        # Neville elimination of it and of its transpose needs no row
+        # exchange and gives positive pivots
+        for n in range(1, 13):
+            ts = _params(alpha, beta, n, n + 1, ends=False, seed=n)
+            matrix = [basis_row_exact(alpha, beta, n, t) for t in ts]
+            for m in (matrix, [list(col) for col in zip(*matrix)]):
+                pivots = _neville_pivots(m)
+                assert len(pivots) == (n + 1) * (n + 2) // 2
+                assert all(p > 0 for p in pivots), n
+
+    @pytest.mark.parametrize("alpha, beta", PAPER_SHIFTS, ids=str)
+    def test_every_minor_is_nonnegative(self, alpha, beta):
+        # with both domain ends among the parameters, where entries vanish
+        for n in range(1, 6):
+            ts = _params(alpha, beta, n, n + 1, ends=True, seed=n)
+            assert (ts[0], ts[-1]) == domain_exact(alpha, beta, n)
+            matrix = [basis_row_exact(alpha, beta, n, t) for t in ts]
+            for size in range(1, n + 2):
+                for rows in itertools.combinations(range(n + 1), size):
+                    for cols in itertools.combinations(range(n + 1), size):
+                        minor = _det([[matrix[i][k] for k in cols] for i in rows])
+                        assert minor >= 0, (n, rows, cols)
