@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -696,24 +697,63 @@ def test_stdout_does_not_depend_on_the_blas_thread_count(golden_dir):
     assert differ == []
 
 
-def _present_avx512_features() -> list[str]:
-    """The AVX-512 feature groups numpy dispatches to on this CPU."""
+def _cpu_features() -> dict:
+    """The CPU features numpy detected on this CPU, by name."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy before 2.0
         from numpy.core._multiarray_umath import __cpu_features__
-    return [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
+    return __cpu_features__
+
+
+def _off_golden(matrix, lines, golden) -> list[str]:
+    """The invocations of ``matrix`` whose child digest line is not the pinned one."""
+    assert len(lines) == len(matrix)
+    return [" ".join(argv) for argv, line in zip(matrix, lines)
+            if line.split() != [str(v) for v in golden[" ".join(argv)]]]
 
 
 def test_stdout_does_not_depend_on_avx512_dispatch(golden, golden_dir):
     # numpy picks its SIMD loops per CPU; with its AVX-512 loops switched
     # off, every golden invocation must still print the pinned bytes
-    lines = _child_digests(GOLDEN_MATRIX, golden_dir,
-                           NPY_DISABLE_CPU_FEATURES=" ".join(_present_avx512_features()))
-    assert len(lines) == len(GOLDEN_MATRIX)
-    differ = [" ".join(argv) for argv, line in zip(GOLDEN_MATRIX, lines)
-              if line.split() != [str(v) for v in golden[" ".join(argv)]]]
-    assert differ == []
+    present = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if _cpu_features().get(f)]
+    lines = _child_digests(GOLDEN_MATRIX, golden_dir, NPY_DISABLE_CPU_FEATURES=" ".join(present))
+    assert _off_golden(GOLDEN_MATRIX, lines, golden) == []
+
+
+def _reaches_blas(argv) -> bool:
+    """Whether a golden invocation goes through a BLAS product: a patch grid,
+    or a curve's direct or matrix route, the direct one being the default.
+    Their bytes still follow OpenBLAS's per-CPU kernels."""
+    return argv[0] == "surface-sample" or (
+        argv[0] in ("curve-eval", "curve-sample") and "decasteljau" not in argv
+    )
+
+
+_BLAS_FREE_MATRIX = [argv for argv in GOLDEN_MATRIX if not _reaches_blas(argv)]
+
+# The CPU features each OpenBLAS core's kernels need; a core the CPU lacks
+# would fault, not round otherwise.
+_CORE_FEATURES = {
+    "Haswell": ("AVX2", "FMA3"),
+    "SandyBridge": ("AVX",),
+    "Nehalem": ("SSE42",),
+    "Prescott": ("SSE3",),
+}
+
+
+@pytest.mark.parametrize("core", sorted(_CORE_FEATURES))
+def test_stdout_does_not_depend_on_the_openblas_core(core, golden, golden_dir):
+    # OpenBLAS picks its kernels per CPU, and older cores round gemm and gemv
+    # otherwise (no FMA, other blocking); an output that reaches no BLAS
+    # product must print the pinned bytes under each of them
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 cores")
+    missing = [f for f in _CORE_FEATURES[core] if not _cpu_features().get(f)]
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(missing)}, which {core} needs")
+    lines = _child_digests(_BLAS_FREE_MATRIX, golden_dir, OPENBLAS_CORETYPE=core)
+    assert _off_golden(_BLAS_FREE_MATRIX, lines, golden) == []
 
 
 def _old_polyline(xs, ys, bbox) -> str:
