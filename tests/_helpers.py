@@ -110,6 +110,17 @@ def assert_bits_equal(got, want, what=""):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), what
 
 
+def elevated_floats(points) -> np.ndarray:
+    """Degree elevation of a polygon ``(n+1, dim)`` in Python floats: the
+    ends copied, inner point ``j`` as ``(j/(n+1)) * P[j-1] + ((n+1-j)/(n+1)) * P[j]``,
+    two products and one add per coordinate."""
+    rows = np.asarray(points, dtype=np.float64).tolist()
+    n = len(rows) - 1
+    inner = [[(j / (n + 1)) * a + ((n + 1 - j) / (n + 1)) * b for a, b in zip(rows[j - 1], row)]
+             for j, row in enumerate(rows[1:], 1)]
+    return np.array([rows[0], *inner, rows[-1]])
+
+
 def hull_contains(points, query, slack=1e-9):
     """Half-space check: every hull facet must keep ``query`` inside."""
     hull = ConvexHull(points)

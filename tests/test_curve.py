@@ -10,11 +10,13 @@ from shiftknot import (
     ConstraintError,
     Curve,
     DomainError,
+    SurfacePatch,
     basis_rows,
     decasteljau_triangle,
     domain,
     elevate,
     elevate_many,
+    elevate_patch,
     elevation_matrix,
     endpoint_derivative,
     eval_decasteljau,
@@ -31,6 +33,7 @@ from _helpers import (
     angle_between,
     assert_bits_equal,
     assert_pinned,
+    elevated_floats,
     hull_contains,
     pinned_curves,
     point_params,
@@ -397,6 +400,42 @@ class TestElevation:
             np.testing.assert_allclose(E.sum(axis=1), 1.0, atol=1e-14)
             assert np.all(E >= 0.0)
 
+    def test_matrix_pins_python_division(self):
+        for n in range(1, MAX_DEGREE + 1):
+            want = np.zeros((n + 2, n + 1))
+            for j in range(1, n + 1):
+                want[j, j - 1], want[j, j] = j / (n + 1), (n + 1 - j) / (n + 1)
+            want[0, 0] = want[n + 1, n] = 1.0
+            assert_bits_equal(elevation_matrix(n), want, f"degree {n}")
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_elevate_pins_python_float_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in range(1, MAX_DEGREE):
+            c = random_curve(rng, degree=n, dim=dim, config=make_config(4, 6))
+            assert_bits_equal(elevate(c).control, elevated_floats(c.control), f"degree {n}")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_negative_zero_ends_survive(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (1, 2, 5, 12):
+            pts = rng.uniform(-5, 5, size=(n + 1, dim))
+            pts[0] = pts[-1] = -0.0
+            c = Curve(make_config(4, 6), pts)
+            for e in (elevate(c), elevate_many(c, 3)):
+                assert_bits_equal(e.control[[0, -1]], pts[[0, -1]], f"degree {n}")
+
+    def test_no_route_goes_through_blas(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("elevation called a BLAS kernel")
+
+        monkeypatch.setattr(_kernels, "blend", refuse)
+        monkeypatch.setattr(_kernels, "patch_grid", refuse)
+        c = parabola_curve()
+        assert elevate(c).degree == 4
+        assert elevate_many(c, 3).degree == 6
+        assert elevate_patch(SurfacePatch(c.config, np.ones((3, 4, 2)))).degrees == (3, 4)
+
     def test_elevate_preserves_endpoints_exactly(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
@@ -474,6 +513,17 @@ class TestEndpointDerivative:
     def test_bad_end_label(self):
         with pytest.raises(ConstraintError):
             endpoint_derivative(parabola_curve(), "middle")
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize(
+        "shift, control",
+        [((1e299, 1.7e299), [[0.0], [1e16]]), ((4, 6), [[-1.7e308], [1.7e308]])],
+        ids=["factor", "leg"],
+    )
+    def test_overflow_raises(self, shift, control, end):
+        # (n + beta) * leg past DBL_MAX, or a leg past it by itself
+        with pytest.raises(ConstraintError, match=f"derivative at end '{end}' overflows"):
+            endpoint_derivative(Curve(make_config(*shift), control), end)
 
     def test_one_sided_difference_agreement(self):
         rng = np.random.default_rng(42)

@@ -33,6 +33,7 @@ from _helpers import (
     PIN_SHIFTS,
     assert_bits_equal,
     assert_pinned,
+    elevated_floats,
     hull_contains,
     pinned_patches,
     point_params,
@@ -473,6 +474,24 @@ class TestPatchElevation:
             np.testing.assert_array_equal(e.net[-1, 0], p.net[-1, 0])
             np.testing.assert_array_equal(e.net[0, -1], p.net[0, -1])
             np.testing.assert_array_equal(e.net[-1, -1], p.net[-1, -1])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_negative_zero_corners_survive(self, dim):
+        rng = np.random.default_rng(dim)
+        for m, n in ((1, 1), (2, 5), (4, 3)):
+            net = rng.uniform(-5, 5, size=(m + 1, n + 1, dim))
+            net[0, 0] = net[0, -1] = net[-1, 0] = net[-1, -1] = -0.0
+            e = elevate_patch(SurfacePatch(make_config(4, 6), net))
+            assert_bits_equal(e.net[:: m + 1, :: n + 1], net[::m, ::n], f"degrees {(m, n)}")
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_pins_rows_then_columns_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        for m, n in ((1, 1), (1, 7), (6, 2), (12, 11), (40, 3)):
+            p = random_patch(rng, m=m, n=n, dim=dim, config=make_config(4, 6))
+            by_rows = np.array([elevated_floats(row) for row in p.net])
+            want = np.array([elevated_floats(col) for col in by_rows.swapaxes(0, 1)])
+            assert_bits_equal(elevate_patch(p).net, want.swapaxes(0, 1), f"degrees {(m, n)}")
 
     def test_separable_form(self):
         # the two-direction blend factors through the per-direction matrices
