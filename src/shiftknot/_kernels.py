@@ -1,4 +1,4 @@
-"""Evaluation kernels for one parameter or many.
+"""Evaluation kernels for one parameter or many, and degree elevation.
 
 Kernels do no validation: callers pass the normalized convex pair
 ``(wl, wr)`` of parameters already clamped into the valid domain (see
@@ -6,8 +6,7 @@ Kernels do no validation: callers pass the normalized convex pair
 row. The weights are either two floats, for one parameter, or two 1-D
 arrays of equal length, one entry per sample; a float pair gives the
 result of a one-element array pair with the sample axis dropped, bit for
-bit. The step-matrix kernels take floats or ``(samples, 1)`` columns
-instead, and keep the sample axis for floats.
+bit.
 
 Every BLAS call of the package is here, the ``matmul`` of :func:`blend` and
 :func:`step_products`: OpenBLAS's per-CPU kernels and thread split set
@@ -22,6 +21,7 @@ __all__ = [
     "basis_rows_batch",
     "blend",
     "decasteljau_batch",
+    "elevate_points",
     "patch_grid",
     "powers",
     "step_products",
@@ -39,6 +39,10 @@ _BLEND_BUDGET = 2**18
 # Doubles per block of pyramid rows in decasteljau_batch: a block and its
 # scratch, 256 KiB each, stay in L2 while a level streams through them.
 _PYRAMID_BUDGET = 2**15
+
+# Samples per stack of step matrices in step_products: at MAX_DEGREE a
+# stack takes 256 * 64 * 65 * 8 bytes, about 8.5 MB, whatever the count.
+_MATRIX_CHUNK = 256
 
 # Largest control polygon, in doubles, whose single-point pyramid runs on a
 # list of Python floats. A level costs numpy three calls whatever its size,
@@ -170,31 +174,44 @@ def patch_grid(net, rows_u, rows_v):
     return blend(rows_u, by_v.swapaxes(0, -2))
 
 
-def band_matrices(rows, wl, wr):
-    """One step matrix per sample, shape ``(samples, rows, rows + 1)``.
+def elevate_points(points):
+    """Raise the degree along the first axis, ``(n+1, ...)`` to ``(n+2, ...)``.
 
-    ``wl``/``wr`` are floats, for one sample, or columns of shape
-    ``(samples, 1)``. Row i of each matrix holds ``wl`` at column i and
-    ``wr`` at column i + 1; in the flattened matrix those are every
-    ``(rows + 2)``-th entry from 0 and 1.
+    The end points are copied, so a ``-0.0`` keeps its sign; inner point
+    ``j`` is ``(j/(n+1)) * P[j-1] + ((n+1-j)/(n+1)) * P[j]`` in ufuncs.
     """
-    samples = wl.shape[0] if isinstance(wl, np.ndarray) else 1
-    mats = np.zeros((samples, rows, rows + 1))
-    flat = mats.reshape(samples, -1)
-    flat[:, 0 :: rows + 2] = wl
-    flat[:, 1 :: rows + 2] = wr
-    return mats
+    n = len(points) - 1
+    j = np.arange(1, n + 1).reshape((n,) + (1,) * (points.ndim - 1))
+    inner = j / (n + 1) * points[:-1] + (n + 1 - j) / (n + 1) * points[1:]
+    return np.concatenate([points[:1], inner, points[-1:]])
+
+
+def band_matrices(rows, wl, wr):
+    """The step matrices of one level: shape ``(rows, rows + 1)`` for float
+    weights, ``(len(wl), rows, rows + 1)`` for arrays. Row i of each holds
+    ``wl`` at column i and ``wr`` at column i + 1: every ``(rows + 2)``-th
+    entry from 0 and 1 of the flattened matrix.
+    """
+    flat = np.zeros(np.shape(wl) + (rows * (rows + 1),))
+    # transposed, the sample axis comes last, where a weight array broadcasts
+    flat.T[0 :: rows + 2] = wl
+    flat.T[1 :: rows + 2] = wr
+    return flat.reshape(np.shape(wl) + (rows, rows + 1))
 
 
 def step_products(control, wl, wr):
-    """Apply all step matrices to the control polygon for every sample;
-    weights are as in :func:`band_matrices`. Shape ``(samples, dim)``.
+    """Apply all step matrices to the control polygon: shape ``(dim,)`` for
+    float weights, ``(len(wl), dim)`` for arrays, ``_MATRIX_CHUNK`` samples
+    to a stack.
 
     Each level's step matrices are the top-left ``(rows, rows + 1)`` blocks
     of the first level's, so one band stack serves every level.
     """
+    if isinstance(wl, np.ndarray) and wl.shape[0] > _MATRIX_CHUNK:
+        parts = [np.split(w, range(_MATRIX_CHUNK, len(w), _MATRIX_CHUNK)) for w in (wl, wr)]
+        return np.concatenate([step_products(control, l, r) for l, r in zip(*parts)])
     mats = band_matrices(control.shape[0] - 1, wl, wr)
     vec = control
     for rows in range(control.shape[0] - 1, 0, -1):
-        vec = mats[:, :rows, : rows + 1] @ vec
-    return vec[:, 0]
+        vec = mats[..., :rows, : rows + 1] @ vec
+    return vec[..., 0, :]

@@ -43,11 +43,6 @@ __all__ = [
     "endpoint_derivative",
 ]
 
-# Samples per batched step-matrix product in sample_curve(algorithm="matrix").
-# At MAX_DEGREE one stack of step matrices then takes 256 * 64 * 65 * 8 bytes,
-# about 8.5 MB, whatever the sample count.
-_MATRIX_CHUNK = 256
-
 
 def _freeze_points(points, *, ndim: int, what: str) -> np.ndarray:
     """Read-only C-contiguous float copy of an ``ndim``-dimensional array of
@@ -130,7 +125,7 @@ def eval_matrix_form(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarr
     """
     dom = curve.domain
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return _kernels.step_products(curve.control, wl, wr)[0]
+    return _kernels.step_products(curve.control, wl, wr)
 
 
 def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = False) -> np.ndarray:
@@ -143,12 +138,7 @@ def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = F
     if algorithm == "decasteljau":
         return _kernels.decasteljau_batch(curve.control, *dom.weights(ts))
     if algorithm == "matrix":
-        wl, wr = dom.weights(ts[:, None])
-        out = np.empty((ts.shape[0], curve.dimension))
-        for lo in range(0, ts.shape[0], _MATRIX_CHUNK):
-            hi = lo + _MATRIX_CHUNK
-            out[lo:hi] = _kernels.step_products(curve.control, wl[lo:hi], wr[lo:hi])
-        return out
+        return _kernels.step_products(curve.control, *dom.weights(ts))
     raise ConstraintError(f"unknown algorithm {algorithm!r}")
 
 
@@ -192,26 +182,20 @@ def step_matrix(
     dom = domain(config, n)
     r = _check_int(r, 1, dom.degree, "step index", IndexError)
     wl, wr = dom.weights(dom.admit(t, clamp))
-    return _kernels.band_matrices(dom.degree - r + 1, wl, wr)[0]
+    return _kernels.band_matrices(dom.degree - r + 1, wl, wr)
 
 
 def elevation_matrix(n: int) -> np.ndarray:
     """Degree elevation as a row-stochastic bidiagonal matrix.
 
-    Shape ``(n + 2, n + 1)``: row j blends ``j/(n+1)`` of point ``j - 1``
-    with ``(n+1-j)/(n+1)`` of point ``j``, so both endpoints are copied
-    verbatim. Column k holds degree-n basis function k in the degree-(n+1)
-    basis of the same frame: ``B(n, k) = E[k, k] B(n+1, k) + E[k+1, k]
-    B(n+1, k+1)``.
+    Shape ``(n + 2, n + 1)``, the elevation kernel on the identity: row j
+    blends ``j/(n+1)`` of point ``j - 1`` with ``(n+1-j)/(n+1)`` of point
+    ``j``, so both endpoints are copied verbatim. Column k holds degree-n
+    basis function k in the degree-(n+1) basis of the same frame:
+    ``B(n, k) = E[k, k] B(n+1, k) + E[k+1, k] B(n+1, k+1)``.
     """
     n = _check_int(n, 1, MAX_DEGREE, "degree", ConstraintError)
-    mat = np.zeros((n + 2, n + 1))
-    for j in range(n + 2):
-        if j <= n:
-            mat[j, j] = (n + 1 - j) / (n + 1)
-        if j >= 1:
-            mat[j, j - 1] = j / (n + 1)
-    return mat
+    return _kernels.elevate_points(np.eye(n + 1))
 
 
 def elevate(curve: Curve) -> Curve:
@@ -221,7 +205,7 @@ def elevate(curve: Curve) -> Curve:
     traced over its own domain matches the original traced over its domain
     at equal normalized parameters.
     """
-    return Curve(curve.config, _kernels.blend(elevation_matrix(curve.degree), curve.control))
+    return Curve(curve.config, _kernels.elevate_points(curve.control))
 
 
 def elevate_many(curve: Curve, levels: int) -> Curve:
@@ -243,9 +227,11 @@ def endpoint_derivative(curve: Curve, end: str) -> np.ndarray:
     ``(n + beta) * (Pn - P(n-1))`` at the right end, so the tangent leaves
     along the first (or arrives along the last) polygon leg.
     """
-    factor = curve.degree + curve.config.beta
-    if end == "lo":
-        return factor * (curve.control[1] - curve.control[0])
-    if end == "hi":
-        return factor * (curve.control[-1] - curve.control[-2])
-    raise ConstraintError(f"end must be 'lo' or 'hi', got {end!r}")
+    if end not in ("lo", "hi"):
+        raise ConstraintError(f"end must be 'lo' or 'hi', got {end!r}")
+    first, last = (0, 1) if end == "lo" else (-2, -1)
+    with np.errstate(over="ignore"):
+        out = (curve.degree + curve.config.beta) * (curve.control[last] - curve.control[first])
+    if not np.isfinite(out).all():
+        raise ConstraintError(f"derivative at end {end!r} overflows float64")
+    return out

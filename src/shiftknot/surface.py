@@ -21,7 +21,7 @@ from .basis import (
     basis_rows,
     domain,
 )
-from .curve import Curve, _freeze_points, elevation_matrix
+from .curve import Curve, _freeze_points
 from .errors import ConstraintError
 
 __all__ = [
@@ -110,12 +110,11 @@ def elevate_patch(patch: SurfacePatch) -> SurfacePatch:
 
     Each new control point is the bilinear blend of its up-to-four old
     neighbours; the four weights sum to 1, and the corner points copy the
-    old corners exactly. Equivalent to elevating every row of the net as a
-    curve, then every column.
+    old corners exactly. Elevates every row of the net as a curve, then
+    every column, through :func:`_kernels.elevate_points`.
     """
-    m, n = patch.degrees
-    net = _kernels.patch_grid(patch.net, elevation_matrix(m), elevation_matrix(n))
-    return SurfacePatch(patch.config, net)
+    by_rows = _kernels.elevate_points(patch.net.swapaxes(0, 1)).swapaxes(0, 1)
+    return SurfacePatch(patch.config, _kernels.elevate_points(by_rows))
 
 
 def eval_patch_decasteljau(

@@ -241,7 +241,7 @@ def _per_level_products(curve, ts):
     """The step-matrix route as one loop over the pyramid levels that
     builds each level's band matrices anew, on weights computed here."""
     lo, hi = curve.domain.lo, curve.domain.hi
-    ts = np.asarray(ts, dtype=np.float64)[:, None]
+    ts = np.asarray(ts, dtype=np.float64)
     wl, wr = (hi - ts) / (hi - lo), (ts - lo) / (hi - lo)
     vec = curve.control
     for rows in range(curve.degree, 0, -1):
