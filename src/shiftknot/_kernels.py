@@ -177,12 +177,12 @@ def patch_grid(net, rows_u, rows_v):
 def elevate_points(points):
     """Raise the degree along the first axis, ``(n+1, ...)`` to ``(n+2, ...)``.
 
-    The end points are copied, so a ``-0.0`` keeps its sign; inner point
-    ``j`` is ``(j/(n+1)) * P[j-1] + ((n+1-j)/(n+1)) * P[j]`` in ufuncs.
+    The end points are copied, so a ``-0.0`` keeps its sign. Inner point
+    ``j`` is ``w[j] * P[j-1] + w[n+1-j] * P[j]``, ``w[j] = j/(n+1)``, in ufuncs.
     """
     n = len(points) - 1
-    j = np.arange(1, n + 1).reshape((n,) + (1,) * (points.ndim - 1))
-    inner = j / (n + 1) * points[:-1] + (n + 1 - j) / (n + 1) * points[1:]
+    w = (np.arange(1.0, n + 1) / (n + 1)).reshape((n,) + (1,) * (points.ndim - 1))
+    inner = w * points[:-1] + w[::-1] * points[1:]
     return np.concatenate([points[:1], inner, points[-1:]])
 
 
@@ -192,11 +192,11 @@ def band_matrices(rows, wl, wr):
     ``wl`` at column i and ``wr`` at column i + 1: every ``(rows + 2)``-th
     entry from 0 and 1 of the flattened matrix.
     """
-    flat = np.zeros(np.shape(wl) + (rows * (rows + 1),))
+    lead = wl.shape if isinstance(wl, np.ndarray) else ()
+    flat = np.zeros(lead + (rows * (rows + 1),))
     # transposed, the sample axis comes last, where a weight array broadcasts
-    flat.T[0 :: rows + 2] = wl
-    flat.T[1 :: rows + 2] = wr
-    return flat.reshape(np.shape(wl) + (rows, rows + 1))
+    flat.T[0 :: rows + 2], flat.T[1 :: rows + 2] = wl, wr
+    return flat.reshape(lead + (rows, rows + 1))
 
 
 def step_products(control, wl, wr):
