@@ -225,6 +225,11 @@ class TestNumpyVariants:
                     _kernels.decasteljau_batch(control, *arrays)[0],
                     f"pyramid, degree {n}, wr {wr!r}",
                 )
+                assert_bits_equal(
+                    _kernels.step_products(control, wl, wr),
+                    _kernels.step_products(control, *arrays)[0],
+                    f"step matrices, degree {n}, wr {wr!r}",
+                )
         assert sides == {True, False}
         assert unpaired > 0
 
