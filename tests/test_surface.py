@@ -396,7 +396,7 @@ class TestPointRoutePins:
 
     @pytest.mark.parametrize("shift", PIN_SHIFTS)
     def test_pyramid_reads_elevated_nets(self, shift):
-        # elevate_patch builds its net with the blend kernel, not from caller input
+        # elevate_patch builds its net with the elevation kernel, not from caller input
         rng = np.random.default_rng(11)
         cfg = make_config(*shift)
         for m, n in [(1, 1), (1, 3), (3, 1), (2, 4), (5, 5)]:
