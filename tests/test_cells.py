@@ -43,14 +43,23 @@ def _fallback_spy():
 
 
 def _format(values):
-    """The cells' texts, and the values the fallback was handed."""
+    """The cells' texts, and the values the fallback was handed.
+
+    A fast-range cell holds ``-`` or NUL in column 0, then its unsigned
+    text from column 1; a fallback cell holds its whole text from column
+    0. Either way only NULs follow the text."""
     with _fallback_spy() as seen:
         cells = _cells.float_cells(np.array(values, dtype=np.float64))
     assert cells.shape == (len(values), _cells.CELL)
-    texts = [bytes(row).rstrip(b"\0") for row in cells]
-    # left-justified: the NUL padding only ever trails the text
-    assert all(b"\0" not in text for text in texts)
-    return [text.decode("ascii") for text in texts], seen
+    texts = []
+    for v, row in zip(values, map(bytes, cells)):
+        text = row.rstrip(b"\0")
+        if _fast(v):
+            assert row[:1] in (b"-", b"\0") and text[1:2].isdigit()
+            text = text.lstrip(b"\0")
+        assert b"\0" not in text
+        texts.append(text.decode("ascii"))
+    return texts, seen
 
 
 def _bits(values):
@@ -175,7 +184,7 @@ class TestFloatCells:
         # the CLI writes a basis table's k column as floats: each index of
         # every degree must keep the bytes of its integer text
         cells = _cells.float_cells(np.arange(MAX_DEGREE + 1, dtype=float))
-        assert [bytes(row).rstrip(b"\0") for row in cells] == [
+        assert [bytes(row).replace(b"\0", b"") for row in cells] == [
             b"%d" % k for k in range(MAX_DEGREE + 1)]
 
     def test_empty(self):
@@ -213,6 +222,23 @@ class TestFloatCells:
         off = [int(np.floor(np.log10(abs(v)))) != _digits(v)[1] for v in fast]
         assert 0 < sum(off) < len(fast)
         assert 0 < len(fast) < len(values)
+
+    def test_every_byte_before_the_cut_is_written(self):
+        # with every new array of the kernel full of 0xA5, a byte that the
+        # layout leaves unwritten shows in the text
+        empty = np.empty
+
+        def dirty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.view(np.uint8).fill(0xA5)
+            calls.append(out.shape)
+            return out
+
+        calls = []
+        values = [s * v for values in TRAILING_ZEROS.values() for v in values for s in (1, -1)]
+        with mock.patch.object(_cells.np, "empty", dirty):
+            assert_cells(values)
+        assert (len(values), _cells.CELL) in calls
 
     def test_peak_memory_per_value(self):
         # one block of a curve table: t, then x, y and z, 2048 samples each
