@@ -38,7 +38,7 @@ def _cell_tables():
     """Lookup tables of :func:`float_cells`, built on first use.
 
     - ``quads``: the four ASCII digits of 0..9999 as one ``uint32`` each,
-      then at 10000 + d the digit d alone in the word's last byte;
+      so that ``quads[0]`` is ``"0000"`` and ``quads[d]`` is ``"000d"``;
     - ``zeros``: the trailing decimal zeros of 0..9999 (4 for 0);
     - ``pow10``, ``pow10_hi``, ``pow10_lo``: the exact doubles ``10**k``,
       k = 0..22, and their Veltkamp halves;
@@ -51,8 +51,7 @@ def _cell_tables():
         digits[..., k] = np.frombuffer(b"0123456789", dtype=np.uint8).reshape(
             (10,) + (1,) * (3 - k))
         zeros[(slice(None),) * k + (0,) * (4 - k)] += 1
-    leads = np.frombuffer(b"".join(b"\0\0\0" + b"%d" % d for d in range(10)), dtype=np.uint32)
-    quads = np.concatenate([digits.reshape(10_000, 4).view(np.uint32).ravel(), leads])
+    quads = digits.reshape(10_000, 4).view(np.uint32).ravel()
     pow10 = np.array([float(10**k) for k in range(23)])
     pow10_hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
     keep = np.array([[255] * length + [0] * (CELL - length) for length in range(CELL + 1)],
@@ -72,7 +71,7 @@ def _pixel_tables():
     - ``tails``: ``.``, the two digits of 0..99, then NUL;
     - ``minus``: NUL, NUL, NUL, ``-``.
     """
-    quads = _cell_tables()[0][:10_000]
+    quads = _cell_tables()[0]
     groups = np.concatenate([quads, quads])
     # k < 10**j has 4 - j leading zeros
     for j in (3, 2, 1):
@@ -129,8 +128,7 @@ def _scaled_digits(a, exp, pow10, pow10_hi, pow10_lo):
 
 def _digit_groups(digits):
     """The 17-digit ``int64`` ``digits`` as rows, shape ``(5, len(digits))``:
-    the leading digit plus 10 000, so that it indexes the quads table past
-    its 4-digit groups, then the four groups of four.
+    the leading digit, then the four groups of four.
 
     Each split is a floor division by a scalar and one subtraction, along
     contiguous rows. numpy's integer ``//`` by a scalar runs as a multiply
@@ -141,7 +139,6 @@ def _digit_groups(digits):
     groups = np.empty((5, len(digits)), dtype=np.int32)
     lead = digits // 10**16
     rest = digits - lead * 10**16
-    lead += 10_000
     groups[0] = lead
     del lead
     high = rest // 10**8
@@ -156,26 +153,23 @@ def _digit_groups(digits):
 
 
 def _lay_out(source, counts):
-    """The cells of values sorted by kind ``2 * (E + 4) + sign``, ``counts``
-    of each kind, from their 17 digits ``source``: the ``-``, then the
-    digits with the ``.`` after digit ``E``, or ``0.`` and ``-E - 1``
-    zeros first when ``E < 0``. One slice per part and kind."""
-    cells = np.zeros((len(source), CELL), dtype=np.uint8)
+    """The cells of values sorted by exponent ``E``, ``counts`` of each
+    ``E + 4``, from their zero-led rows ``source``: from column 1 the
+    ``max(E, 0) + 1`` digits before the ``.``, then the ``.``, then the
+    rest of the row. For ``E < 0`` the row's zeros are the ``0`` and the
+    ``-E - 1`` zeros after the ``.``. One slice per part and exponent;
+    column 0, the sign's, is left to the caller."""
+    cells = np.empty((len(source), CELL), dtype=np.uint8)
     lo = 0
-    for kind, count in enumerate(counts):
+    for e, count in enumerate(counts, start=-4):
         if not count:
             continue
-        e, sign = kind // 2 - 4, kind % 2
         cell, src, lo = cells[lo : lo + count], source[lo : lo + count], lo + count
-        if sign:
-            cell[:, 0] = ord("-")
-        if e >= 0:
-            cell[:, sign : sign + e + 1] = src[:, : e + 1]
-            cell[:, sign + e + 1] = ord(".")
-            cell[:, sign + e + 2 : sign + 18] = src[:, e + 1 :]
-        else:
-            cell[:, sign : sign + 1 - e] = np.frombuffer(b"0.000"[: 1 - e], dtype=np.uint8)
-            cell[:, sign + 1 - e : sign + 18 - e] = src
+        # the first digit written, the leading one or a zero before it
+        first, whole = 7 + min(e, 0), max(e, 0) + 1
+        cell[:, 1 : 1 + whole] = src[:, first : first + whole]
+        cell[:, 1 + whole] = ord(".")
+        cell[:, 2 + whole : 26 - first] = src[:, first + whole :]
     return cells
 
 
@@ -198,18 +192,21 @@ def float_cells(values) -> np.ndarray:
        ``10**(16 - E)``, an exact double there (:func:`_scaled_digits`).
        ``E`` is corrected until ``D`` has 17 digits, which also takes a
        rounding that carries to ``10**17``.
-    2. The values are sorted by sign and ``E``, their layout.
+    2. The values are sorted by ``E``, their layout.
     3. ``D`` is split into its leading digit and four groups of four, by
        floor division (:func:`_digit_groups`).
     4. The cell's length: it ends at the last nonzero digit of the
        fraction, or before the ``.`` when there is none. That digit is
        found from the last group's trailing zeros, and from an earlier
        group's only for the values whose later groups are all zero.
-    5. The digits come from a table of 4-digit groups, and each layout is
-       written with slices (:func:`_lay_out`); the length cuts the cell.
-    6. The cells are put back in the input's order, and every other value
-       (zeros, subnormals, large, tiny and non-finite ones) goes to
-       :func:`fallback_cells`.
+    5. Each value's row of 24 source bytes is read from a table of 4-digit
+       groups: ``"0000"``, the leading digit as ``"000d"``, then the four
+       groups. Each layout is written with slices from column 1
+       (:func:`_lay_out`), and the length cuts the cell.
+    6. The cells are put back in the input's order, column 0 takes the
+       sign, ``-`` or NUL, and every other value (zeros, subnormals, large,
+       tiny and non-finite ones) goes to :func:`fallback_cells`, whose text
+       starts in column 0.
 
     Each temporary is freed once spent: a call peaks near 65 bytes a
     value, the 24 of the cells included.
@@ -229,15 +226,12 @@ def float_cells(values) -> np.ndarray:
         exp[off] += (fix >= 10**17).view(np.int8) - (fix < 10**16).view(np.int8)
         digits[off] = _scaled_digits(a.take(off), exp.take(off), pow10, pow10_hi, pow10_lo)
     del a
-    # one layout per sign and exponent: sort the values by it
-    neg = np.signbit(x)
+    # one layout per exponent: sort the values by it
     layout = (exp + 4).view(np.uint8)
-    layout <<= 1
-    layout |= neg
     order = np.argsort(layout, kind="stable")
-    counts = np.bincount(layout, minlength=40).tolist()
+    counts = np.bincount(layout, minlength=20).tolist()
     del layout
-    digits, exp, neg = digits.take(order), exp.take(order), neg.take(order).view(np.int8)
+    digits, exp = digits.take(order), exp.take(order)
     groups = _digit_groups(digits)
     del digits
     # index of the last nonzero digit: the last group's trailing zeros, then
@@ -248,24 +242,24 @@ def float_cells(values) -> np.ndarray:
         if not at.size:
             break
         last[at] -= zeros.take(groups[g].take(at))
-    length = np.where(last > exp, last + 2 - np.minimum(exp, 0), exp + 1) + neg
-    del last, exp, neg
-    # the 17 digits as rows of bytes: four each per group, the leading one
-    # in the last byte of its word
-    words = np.empty((5, len(x)), dtype=np.uint32)
+    # the sign's column, the digits, and the "." when a digit follows it
+    length = np.where(last > exp, last + 3 - np.minimum(exp, 0), exp + 2)
+    del last, exp
+    # the zero-led source rows: "0000", "000d", then the four groups
+    words = np.empty((len(x), 6), dtype=np.uint32)
+    words[:, 0] = quads[0]
     for g in range(5):
-        quads.take(groups[g], out=words[g], mode="clip")
+        quads.take(groups[g], out=words[:, g + 1], mode="clip")
     del groups
-    source = np.ascontiguousarray(words.T).view(np.uint8)[:, 3:]
+    sorted_cells = _lay_out(words.view(np.uint8), counts)
     del words
-    sorted_cells = _lay_out(source, counts)
-    del source
     sorted_cells &= keep.take(length, axis=0)
     del length
     rank = np.empty_like(order)
     rank[order] = np.arange(len(x))
     del order
     cells = sorted_cells.take(rank, axis=0)
+    cells[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     if slow.size:
         cells[slow] = fallback_cells(x[slow])
     return cells
