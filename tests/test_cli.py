@@ -446,6 +446,13 @@ class TestArgumentErrors:
         assert len(proc.stderr.splitlines()) == 1
         assert "finite" in proc.stderr
 
+    @pytest.mark.parametrize("bounds", [["nan", "1"], ["0", "nan"]], ids=["start", "end"])
+    def test_nan_range_bound_exits_one(self, bounds, curve_file):
+        # a NaN bound is not finite, not a misordered range
+        proc = run_cli("curve-sample", curve_file, "--samples", "3", "--range", *bounds, expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr == "shiftknot: error: parameter must be finite, got nan\n"
+
     def test_output_to_unwritable_path(self, curve_file):
         proc = run_cli(
             "curve-sample", curve_file, "--samples", "3",
@@ -457,7 +464,9 @@ class TestArgumentErrors:
 # ---------------------------------------------------------------------------
 # golden bytes: SHA-256 of stdout plus the exit status for a fixed matrix of
 # invocations, pinned in tests/fixtures/cli_golden.json. Rewrite the fixture
-# from the CLI as it stands with ``PYTHONPATH=src python tests/test_cli.py``.
+# from the CLI as it stands with ``PYTHONPATH=src python tests/test_cli.py``:
+# it prints each case whose digest changes, old -> new, and leaves the file
+# untouched when none does.
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "cli_golden.json"
 
@@ -1148,5 +1157,11 @@ if __name__ == "__main__":
             digests = {" ".join(argv): _golden_digest(argv) for argv in GOLDEN_MATRIX}
         finally:
             os.chdir(here)
-    GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} cases to {GOLDEN_PATH}")
+    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
+    changed = [case for case in sorted(old.keys() | digests.keys())
+               if old.get(case) != digests.get(case)]
+    for case in changed:
+        print(f"{case}: {old.get(case)} -> {digests.get(case)}")
+    if changed:
+        GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(changed)} of {len(digests)} cases changed in {GOLDEN_PATH}")
