@@ -219,6 +219,29 @@ def _det(matrix):
     return det
 
 
+def _reduce_forward(elevated):
+    """Forrest's forward recursion: the degree-n polygon ``P`` whose
+    elevation is ``elevated``, from ``Q_j = (j P_{j-1} + (n + 1 - j) P_j)
+    / (n + 1)`` solved for ``P_j`` with ``j`` rising from ``P_0 = Q_0``."""
+    n = len(elevated) - 2
+    reduced = [elevated[0]]
+    for j in range(1, n + 1):
+        reduced.append([((n + 1) * q - j * p) / (n + 1 - j)
+                        for q, p in zip(elevated[j], reduced[-1])])
+    return reduced
+
+
+def _reduce_backward(elevated):
+    """Forrest's backward recursion: the same equations solved for
+    ``P_{j-1}`` with ``j`` falling from ``P_n = Q_{n+1}``."""
+    n = len(elevated) - 2
+    reduced = [elevated[-1]]
+    for j in range(n, 0, -1):
+        reduced.append([((n + 1) * q - (n + 1 - j) * p) / j
+                        for q, p in zip(elevated[j], reduced[-1])])
+    return reduced[::-1]
+
+
 class TestPaperClaims:
     """The paper's degree elevation and total positivity, in exact arithmetic."""
 
@@ -243,6 +266,23 @@ class TestPaperClaims:
             for u in [F(0), F(1, 7), F(1, 2), F(5, 9), F(1)]:
                 assert (eval_curve_exact(alpha, beta, elevated, lo_up + (hi_up - lo_up) * u)
                         == eval_curve_exact(alpha, beta, control, lo + (hi - lo) * u)), (n, u)
+
+    @pytest.mark.parametrize("alpha, beta", PAPER_SHIFTS, ids=str)
+    def test_degree_reduction_recovers_the_polygon(self, alpha, beta):
+        # Forrest (Comput. J. 15, 1972): either recursion inverts the
+        # elevation exactly, and on a polygon that is no elevation the two
+        # disagree
+        rng = random.Random(str((alpha, beta, "reduce")))
+        for n in range(1, 13):
+            control = [[F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(2)]
+                       for _ in range(n + 1)]
+            elevated = [[sum(e * p[c] for e, p in zip(row, control)) for c in range(2)]
+                        for row in elevation_matrix_exact(n)]
+            assert _reduce_forward(elevated) == control, n
+            assert _reduce_backward(elevated) == control, n
+            bent = [list(q) for q in elevated]
+            bent[rng.randint(0, n + 1)][0] += 1
+            assert _reduce_forward(bent) != _reduce_backward(bent), n
 
     @pytest.mark.parametrize("alpha, beta", PAPER_SHIFTS, ids=str)
     def test_collocation_matrices_are_totally_positive(self, alpha, beta):
