@@ -226,19 +226,18 @@ class TestFloatCells:
     def test_every_byte_before_the_cut_is_written(self):
         # with every new array of the kernel full of 0xA5, a byte that the
         # layout leaves unwritten shows in the text
-        empty = np.empty
+        empty, shapes = np.empty, []
 
         def dirty(*args, **kwargs):
             out = empty(*args, **kwargs)
             out.view(np.uint8).fill(0xA5)
-            calls.append(out.shape)
+            shapes.append(out.shape)
             return out
 
-        calls = []
-        values = [s * v for values in TRAILING_ZEROS.values() for v in values for s in (1, -1)]
+        values = [s * v for group in TRAILING_ZEROS.values() for v in group for s in (1, -1)]
         with mock.patch.object(_cells.np, "empty", dirty):
             assert_cells(values)
-        assert (len(values), _cells.CELL) in calls
+        assert (len(values), _cells.CELL) in shapes
 
     def test_peak_memory_per_value(self):
         # one block of a curve table: t, then x, y and z, 2048 samples each
