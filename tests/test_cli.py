@@ -25,6 +25,7 @@ import pytest
 from shiftknot import (Curve, SurfacePatch, eval_direct, load_curve, make_config, sample_curve,
                        save_curve, save_patch)
 from shiftknot import cli, files
+from shiftknot.errors import ConstraintError
 
 from _helpers import run_shiftknot
 
@@ -810,13 +811,12 @@ def _svg_cases():
     cases.append(("zero-span-y", flat, (-3.0, 7.0, 2.5, 2.5)))
     cases.append(("zero-span-both", flat[:, [1, 1, 2]], (2.5, 2.5, 2.5, 2.5)))
     cases.append(("zero-span-zero", -flat[:, [2, 2, 2]], (0.0, 0.0, -0.0, -0.0)))
-    # far outside the box: pixels of 1e7 and beyond, among ordinary ones
-    far = np.array([0.5, 1e7 / 640 * 1.1 - 0.05, 1e7 / 640 * 1.1, -2e4, 1e12, -3e15, 1e300, 0.25])
-    cases.append(("beyond-fast-range", np.stack([far, far[::-1], far], axis=1), (0.0, 1.0, 0.0, 1.0)))
     return cases
 
 
 _SVG_CASES = _svg_cases()
+# far outside the box: pixels of 1e7 and beyond, among ordinary ones
+_FAR = np.array([0.5, 1e7 / 640 * 1.1 - 0.05, 1e7 / 640 * 1.1, -2e4, 1e12, -3e15, 1e300, 0.25])
 
 
 class TestSvgPixels:
@@ -834,9 +834,47 @@ class TestSvgPixels:
         assert written == expected
         if name == "negative-zero-pixels":
             assert expected[0].startswith("-0.00,-0.00 ")
-        if name == "beyond-fast-range":
-            pixels = [abs(float(c)) for point in expected[0].split() for c in point.split(",")]
-            assert min(pixels) < 1e7 <= sorted(pixels)[-5] and max(pixels) > 1e300
+
+    def test_pixels_beyond_1e7_are_refused(self):
+        # the pixel kernel writes |pixel| < 1e7 only: a stack with pixels
+        # beyond it is refused, as one with a non-finite pixel is
+        bbox = (0.0, 1.0, 0.0, 1.0)
+        pixels = [abs(float(c)) for point in _old_polyline(_FAR, _FAR[::-1], bbox).split()
+                  for c in point.split(",")]
+        assert min(pixels) < 1e7 <= sorted(pixels)[-5] and max(pixels) > 1e300
+        with pytest.raises(ConstraintError, match="finite pixels"):
+            cli._svg_render(_FAR[None], _FAR[::-1][None], ["#000000"], [], bbox, ())
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_the_limit_is_1e7(self, axis, sign):
+        # the last double whose pixel stays below 1e7 in magnitude is
+        # written, and the next one refused; the extent pads 0..1 to
+        # -0.05..1.05 on both axes
+        bbox = (0.0, 1.0, 0.0, 1.0)
+        if axis == "x":
+            scale = 640 / (1.05 - -0.05)
+            pixel, v = (lambda v: (v - -0.05) * scale), sign * 1e7 / scale - 0.05
+        else:
+            scale = 480 / (1.05 - -0.05)
+            pixel, v = (lambda v: 480 - (v - -0.05) * scale), (480 - sign * 1e7) / scale - 0.05
+        # the direction in which the pixel's magnitude grows
+        away = math.inf if (axis == "x") == (sign > 0) else -math.inf
+        while abs(pixel(v)) >= 1e7:
+            v = math.nextafter(v, -away)
+        while abs(pixel(math.nextafter(v, away))) < 1e7:
+            v = math.nextafter(v, away)
+        for last, refused in ((v, False), (math.nextafter(v, away), True)):
+            along, other = np.array([0.25, last]), np.array([0.5, 0.5])
+            xs, ys = (along, other) if axis == "x" else (other, along)
+            call = (xs[None], ys[None], ["#000000"], [], bbox, ())
+            if refused:
+                with pytest.raises(ConstraintError, match="finite pixels"):
+                    cli._svg_render(*call)
+            else:
+                svg = b"".join(cli._svg_render(*call)).decode()
+                assert re.findall(r'points="([^"]*)"', svg) == [_old_polyline(xs, ys, bbox)]
+
 
 
 def _kernel_sizes(monkeypatch, name) -> list[int]:

@@ -94,10 +94,11 @@ class TestNumpyVariants:
                     assert err <= bound, (n, k, wl[s], wr[s])
 
     def test_basis_rows_peak_memory(self):
-        # the output and one (n+1, S) buffer, at degree 10 with 10 000 samples
+        # the one (n+1, S) buffer, which the output views, and one sample
+        # row of temporaries, at degree 10 with 10 000 samples
         wr = np.random.default_rng(9).uniform(size=10_000)
         wl = 1.0 - wr
-        buffer = 11 * 10_000 * 8
+        buffer, row = 11 * 10_000 * 8, 10_000 * 8
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -106,7 +107,17 @@ class TestNumpyVariants:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= buffer + buffer + 64 * 1024
+        assert peak <= buffer + row + 64 * 1024
+
+    @pytest.mark.parametrize("samples", [2, 7, 5000])
+    def test_basis_rows_are_the_transposed_buffer(self, samples):
+        # entry k fills row k of one (n+1, S) buffer: the (S, n+1) output
+        # is its transpose, Fortran-ordered, not a copy
+        wr = np.random.default_rng(samples).uniform(size=samples)
+        for n in (1, 10, MAX_DEGREE):
+            rows = _kernels.basis_rows_batch(1.0 - wr, wr, binomial_row(n))
+            assert rows.shape == (samples, n + 1)
+            assert rows.flags.f_contiguous and not rows.flags.c_contiguous
 
     def test_decasteljau_batch_matches_direct(self):
         rng = np.random.default_rng(2)
