@@ -6,9 +6,9 @@ array, byte for byte, without a ``%`` per value where it can: in the range
 in numpy, with Dekker's error-free product (Dekker, "A floating-point
 technique for extending the available precision", Numer. Math. 18, 1971)
 by a power of ten that is an exact double. :func:`pixel_cells` writes
-``'%.2f' % v`` the same way, from the exact product by 100. The output
-layer of :mod:`shiftknot.cli` writes its CSV and JSON tables from the
-first and its SVG polylines from the second.
+``'%.2f' % v`` for ``|v| < 1e7`` from the exact product by 100. The
+output layer of :mod:`shiftknot.cli` writes its CSV and JSON tables from
+the first and its SVG polylines from the second.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ __all__ = ["CELL", "fallback_cells", "float_cells", "pixel_cells"]
 CELL = 24
 # printf spec of every SVG pixel coordinate
 PIXEL_SPEC = "%.2f"
-# pixels below this magnitude are written by pixel_cells in numpy, in rows of
-# _PIXEL_CELL bytes: the longest such text is "-10000000.00"
+# pixel_cells writes pixels below this magnitude, in rows of _PIXEL_CELL
+# bytes: the longest such text is "-10000000.00"
 _PIXEL_LIMIT = 1e7
 _PIXEL_CELL = 12
 # Veltkamp's splitter 2**27 + 1: halves of 26 bits whose products are exact
@@ -173,12 +173,11 @@ def _lay_out(source, counts):
     return cells
 
 
-def fallback_cells(values: np.ndarray, spec: str = FLOAT_SPEC, width: int = CELL) -> np.ndarray:
-    """``spec % v`` of each of ``values``, as NUL-padded cells of ``width``
-    bytes, or of the longest text's when that is longer."""
-    texts = [spec % v for v in values.tolist()]
-    width = max([width, *map(len, texts)])
-    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+def fallback_cells(values: np.ndarray) -> np.ndarray:
+    """``FLOAT_SPEC % v`` of each of ``values``, as NUL-padded cells of
+    ``CELL`` bytes, which every such text fits."""
+    texts = [FLOAT_SPEC % v for v in values.tolist()]
+    return np.array(texts, dtype=f"S{CELL}").view(np.uint8).reshape(-1, CELL)
 
 
 def float_cells(values) -> np.ndarray:
@@ -266,23 +265,21 @@ def float_cells(values) -> np.ndarray:
 
 
 def pixel_cells(values) -> np.ndarray:
-    """``PIXEL_SPEC % v`` of each of the 1-D float ``values``, byte for
-    byte, as rows of a ``uint8`` array of shape ``(len(values), width)``
-    whose NUL bytes are to be dropped: NUL may stand anywhere in a row.
+    """``PIXEL_SPEC % v`` of each of the 1-D float ``values``, which must
+    lie below ``_PIXEL_LIMIT`` (1e7) in magnitude, byte for byte, as rows
+    of a ``uint8`` array of shape ``(len(values), 12)`` whose NUL bytes are
+    to be dropped: NUL may stand anywhere in a row.
 
-    For ``|v| < 1e7`` the row is 12 bytes: the sign, eight integer digits
-    with their leading zeros NUL, ``.`` and two digits. They spell
-    ``round-half-even(|v| * 100)``, made exact from Dekker's product by 100
-    (:func:`_two_product`): ``rint`` of the rounded product stands unless
-    it lands exactly on a half, where the sign of the exact rest decides,
-    and a zero rest leaves ``rint``'s half to even. Every other value goes
-    to ``PIXEL_SPEC % v``, and the rows widen to its longest text.
+    A row is the sign, eight integer digits with their leading zeros NUL,
+    ``.`` and two digits. They spell ``round-half-even(|v| * 100)``, made
+    exact from Dekker's product by 100 (:func:`_two_product`): ``rint`` of
+    the rounded product stands unless it lands exactly on a half, where
+    the sign of the exact rest decides, and a zero rest leaves ``rint``'s
+    half to even.
     """
     heads, groups, tails, minus = _pixel_tables()
     x = np.asarray(values, dtype=np.float64)
     a = np.abs(x)
-    slow = np.flatnonzero(~(a < _PIXEL_LIMIT))
-    a[slow] = 0.0
     p, err = _two_product(a, 100.0, 100.0, 0.0)
     # one call takes a whole stack of polylines: each temporary goes once
     # spent, which keeps the peak near six doubles a value
@@ -306,11 +303,4 @@ def pixel_cells(values) -> np.ndarray:
     words[:, 1] = heads.take(high)
     words[:, 2] = groups.take(low + (high == 0) * 10_000)
     words[:, 3] = tails.take(frac)
-    cells = words.view(np.uint8)[:, 3 : 3 + _PIXEL_CELL]
-    if not slow.size:
-        return cells
-    slow_cells = fallback_cells(x[slow], PIXEL_SPEC, _PIXEL_CELL)
-    wide = np.zeros((len(x), slow_cells.shape[1]), dtype=np.uint8)
-    wide[:, :_PIXEL_CELL] = cells
-    wide[slow] = slow_cells
-    return wide
+    return words.view(np.uint8)[:, 3 : 3 + _PIXEL_CELL]

@@ -67,10 +67,10 @@ def basis_rows_batch(wl, wr, binom):
     Entry ``[s, k]`` is ``(wr[s]**k * binom[k]) * wl[s]**(n - k)``, with
     each power a running product from 1 (see :func:`powers`), so it is
     made of IEEE multiplies alone, in this order, on every CPU. For arrays
-    the powers of ``wl`` fill one ``(n+1, S)`` buffer along the sample
-    axis, and row ``n - k`` is then overwritten with entry ``k``; row 0,
-    ``wl**0 = 1``, doubles as the running power of ``wr``, since the last
-    entry's factor 1 is exact. The output is that buffer transposed.
+    the powers of ``wl`` fill one ``(n+1, S)`` buffer, ``wl**(n - k)`` in
+    row ``k``, which entry ``k`` then overwrites; row ``n``, ``wl**0 = 1``,
+    is the running power of ``wr``, as the last entry's factor 1 is exact.
+    The output is the buffer's transpose, Fortran-ordered: no copy.
 
     An entry rounds at most ``n + 1`` times, so while no partial product
     is subnormal it is within ``(n+1) u / (1 - (n+1) u)``, ``u = 2**-53``,
@@ -82,15 +82,15 @@ def basis_rows_batch(wl, wr, binom):
         low, high = powers(wl, n), powers(wr, n)
         return np.array([high[k] * b * low[n - k] for k, b in enumerate(binom.tolist())])
     low = np.empty((n + 1, wl.shape[0]))
-    low[0] = 1.0
-    for j in range(1, n + 1):
-        np.multiply(low[j - 1], wl, out=low[j])
-    high = low[0]
+    low[n] = 1.0
+    for k in range(n, 0, -1):
+        np.multiply(low[k], wl, out=low[k - 1])
+    high = low[n]
     for k, b in enumerate(binom.tolist()[:n]):
-        low[n - k] *= high * b
+        low[k] *= high * b
         high *= wr
     high *= binom[n]
-    return np.ascontiguousarray(low[::-1].T)
+    return low.T
 
 
 def decasteljau_batch(control, wl, wr):
@@ -152,8 +152,9 @@ def blend(rows, points):
     """Contract one row ``(K,)`` or rows ``(S, K)`` with ``points`` ``(K, ...)``.
 
     Many rows go in blocks of ``_BLEND_BUDGET // points.size`` rows, at
-    least one, one ``matmul`` each; a one-row product kept its bits under
-    every thread count at every size measured.
+    least one, one ``matmul`` each, C-ordered: OpenBLAS rounds a transposed
+    block, such as one of F-ordered basis rows, otherwise. A one-row
+    product kept its bits under every thread count at every size measured.
     """
     if points.ndim > 2:
         flat = blend(rows, points.reshape(len(points), -1))
@@ -163,7 +164,7 @@ def blend(rows, points):
     out = np.empty((len(rows), points.shape[1]))
     step = max(1, _BLEND_BUDGET // max(1, points.size))
     for lo in range(0, len(rows), step):
-        np.matmul(rows[lo : lo + step], points, out=out[lo : lo + step])
+        np.matmul(np.ascontiguousarray(rows[lo : lo + step]), points, out=out[lo : lo + step])
     return out
 
 

@@ -172,9 +172,11 @@ def _svg_render(xs, ys, strokes, cross_strokes, bbox, domains, *, annotations=()
     ``annotations`` a tick at ``x`` on the bottom edge.
 
     Raises ``ConstraintError`` when the extent is too wide or too narrow
-    for float64 to place every point at a finite pixel.
+    for float64 to place every point at a finite pixel, or when a pixel
+    is at or beyond ``_cells._PIXEL_LIMIT`` (1e7) in magnitude, outside
+    the pixel kernel's range; no command's extent puts a pixel there.
     """
-    from ._cells import PIXEL_SPEC, pixel_cells
+    from ._cells import _PIXEL_LIMIT, PIXEL_SPEC, pixel_cells
 
     width, height = 640, 480
     xmin, xmax, ymin, ymax = bbox
@@ -194,7 +196,7 @@ def _svg_render(xs, ys, strokes, cross_strokes, bbox, domains, *, annotations=()
         px, py = (xs - xmin) * sx, height - (ys - ymin) * sy
     if not (math.isfinite(sx) and math.isfinite(sy)
             and all(math.isfinite(tick) for tick, _ in ticks)
-            and np.isfinite(px).all() and np.isfinite(py).all()):
+            and (abs(px) < _PIXEL_LIMIT).all() and (abs(py) < _PIXEL_LIMIT).all()):
         raise ConstraintError(
             "SVG output cannot place the data extent"
             f" [{bbox[0]!r}, {bbox[1]!r}] x [{bbox[2]!r}, {bbox[3]!r}] at finite pixels"

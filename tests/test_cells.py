@@ -1,9 +1,10 @@
 """The exact cell kernels against ``FLOAT_SPEC % v`` and ``'%.2f' % v``.
 
-Every cell must hold the bytes of its value's text, and every value must
-take the path its magnitude calls for: the numpy fast path (``1e-4 <= |v|
-< 1e16`` for ``float_cells``, ``|v| < 1e7`` for ``pixel_cells``),
-``fallback_cells`` everywhere else.
+Every cell must hold the bytes of its value's text. Every value of
+``float_cells`` must take the path its magnitude calls for: the numpy fast
+path for ``1e-4 <= |v| < 1e16``, ``fallback_cells`` everywhere else.
+``pixel_cells`` takes only values of ``|v| < 1e7``, the pixels that the
+SVG writer lets through.
 """
 
 import contextlib
@@ -271,24 +272,15 @@ class TestFloatCells:
         assert seen == []
 
 
-def _pixel_fast(v: float) -> bool:
-    return abs(v) < 1e7
-
-
 def _pixel_format(values):
-    """The pixel cells' texts with their NULs dropped, and the values the
-    fallback was handed."""
-    with _fallback_spy() as seen:
-        cells = _cells.pixel_cells(np.array(values, dtype=np.float64))
-    assert cells.dtype == np.uint8 and len(cells) == len(values)
-    assert cells.shape[1] == (12 if not seen else max(12, *(len("%.2f" % v) for v in seen)))
-    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells], seen
+    """The pixel cells' texts with their NULs dropped."""
+    cells = _cells.pixel_cells(np.array(values, dtype=np.float64))
+    assert cells.dtype == np.uint8 and cells.shape == (len(values), 12)
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells]
 
 
 def assert_pixels(values):
-    texts, seen = _pixel_format(values)
-    assert texts == ["%.2f" % v for v in values]
-    assert _bits(seen) == _bits([v for v in values if not _pixel_fast(v)])
+    assert _pixel_format(values) == ["%.2f" % v for v in values]
 
 
 def _half_cents():
@@ -308,11 +300,12 @@ def _half_cents():
 
 
 HALF_CENTS = _half_cents()
-PIXEL_POWERS = _neighbours([10.0**k for k in range(-3, 8)] + [1e15, 1e300])
+# the kernel's range ends below 1e7: of 1e7's neighbours, only the one below
+PIXEL_POWERS = [v for v in _neighbours([10.0**k for k in range(-3, 8)]) if v < 1e7]
 PIXEL_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min / 3,
-                  -1e-3, -0.004999, -0.005, 0.004999, 1e7, -1e7, math.nextafter(1e7, 0.0),
-                  -math.nextafter(1e7, 0.0), 9999999.995, 9999999.994999999, 1e15, 1e300,
-                  -1e300, sys.float_info.max, 320.0, 639.995, -32.0]
+                  -1e-3, -0.004999, -0.005, 0.004999, math.nextafter(1e7, 0.0),
+                  -math.nextafter(1e7, 0.0), 9999999.995, 9999999.994999999, 320.0, 639.995,
+                  -32.0]
 
 
 class TestPixelCells:
@@ -324,7 +317,7 @@ class TestPixelCells:
         assert ["%.2f" % v for v in (0.125, 0.375, 0.005)] == ["0.12", "0.38", "0.01"]
 
     def test_negative_zero_and_tiny_values(self):
-        texts, _ = _pixel_format([-0.0, -1e-3, -5e-324, 0.0, 5e-324, sys.float_info.min])
+        texts = _pixel_format([-0.0, -1e-3, -5e-324, 0.0, 5e-324, sys.float_info.min])
         assert texts == ["-0.00", "-0.00", "-0.00", "0.00", "0.00", "0.00"]
 
     def test_both_sides_of_each_power_of_ten(self):
@@ -334,16 +327,8 @@ class TestPixelCells:
     def test_specials(self):
         assert_pixels(PIXEL_SPECIALS)
 
-    def test_fallback_sees_exactly_the_out_of_range_values(self):
-        values = [1.5, 1e7, -2.25, math.inf, -1e300, math.nan, math.nextafter(1e7, 0.0)]
-        texts, seen = _pixel_format(values)
-        assert texts == ["1.50", "10000000.00", "-2.25", "inf", "%.2f" % -1e300, "nan",
-                         "10000000.00"]
-        assert _bits(seen) == _bits([1e7, math.inf, -1e300, math.nan])
-
     def test_fast_range_keeps_twelve_bytes(self):
-        texts, seen = _pixel_format([-math.nextafter(1e7, 0.0), 0.0, 123.456])
-        assert seen == []
+        texts = _pixel_format([-math.nextafter(1e7, 0.0), 0.0, 123.456])
         assert texts == ["-10000000.00", "0.00", "123.46"]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -352,23 +337,17 @@ class TestPixelCells:
         values = np.concatenate([
             rng.uniform(-100.0, 800.0, 3000),
             np.round(rng.uniform(-100.0, 800.0, 3000), 3),
-            np.exp(rng.uniform(math.log(1e-8), math.log(1e9), 2000)) * rng.choice([-1, 1], 2000),
+            np.exp(rng.uniform(math.log(1e-8), math.log(1e7), 2000)) * rng.choice([-1, 1], 2000),
             rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64),
         ])
-        assert_pixels(values[np.isfinite(values)].tolist())
+        # the kernel's range: the NaNs fail the test too
+        assert_pixels(values[np.abs(values) < 1e7].tolist())
 
     def test_empty(self):
         assert _cells.pixel_cells(np.array([])).shape == (0, 12)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
-    def test_every_finite_double(self, values):
-        assert_pixels(values)
-
-    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(min_value=-1e7, max_value=1e7, exclude_min=True, exclude_max=True),
                     min_size=1, max_size=40))
     def test_fast_range(self, values):
-        texts, seen = _pixel_format(values)
-        assert texts == ["%.2f" % v for v in values]
-        assert seen == []
+        assert_pixels(values)

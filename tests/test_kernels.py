@@ -119,6 +119,19 @@ class TestNumpyVariants:
             assert rows.shape == (samples, n + 1)
             assert rows.flags.f_contiguous and not rows.flags.c_contiguous
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blend_keeps_the_bits_of_c_ordered_rows(self, dim):
+        # basis rows come Fortran-ordered, and OpenBLAS rounds a transposed
+        # operand otherwise: gemv at every degree, gemm from degree 15 on
+        rng = np.random.default_rng(dim)
+        for n in (1, 3, 10, 15, 16, 40, MAX_DEGREE):
+            for samples in (2, 97, 5000):
+                wr = rng.uniform(size=samples)
+                rows = _kernels.basis_rows_batch(1.0 - wr, wr, binomial_row(n))
+                points = rng.uniform(-5, 5, size=(n + 1, dim))
+                want = _kernels.blend(np.ascontiguousarray(rows), points)
+                assert_bits_equal(_kernels.blend(rows, points), want, f"{n}, {samples}")
+
     def test_decasteljau_batch_matches_direct(self):
         rng = np.random.default_rng(2)
         control = rng.uniform(-5, 5, size=(5, 3))
