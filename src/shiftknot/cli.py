@@ -67,7 +67,7 @@ def _sample_grid(dom, samples: int, range_pair, clamp: bool) -> np.ndarray:
     if range_pair is not None:
         rlo, rhi = float(range_pair[0]), float(range_pair[1])
         for bound in (rlo, rhi):
-            if math.isnan(bound):
+            if not math.isfinite(bound):
                 raise DomainError(f"parameter must be finite, got {bound!r}")
         if not rlo < rhi:
             raise ConstraintError(f"--range start {rlo} must be below end {rhi}")

@@ -447,12 +447,15 @@ class TestArgumentErrors:
         assert len(proc.stderr.splitlines()) == 1
         assert "finite" in proc.stderr
 
-    @pytest.mark.parametrize("bounds", [["nan", "1"], ["0", "nan"]], ids=["start", "end"])
+    @pytest.mark.parametrize("bounds", [["nan", "1"], ["0", "nan"], ["inf", "1"], ["inf", "inf"]],
+                             ids=["start", "end", "inf-start", "inf-both"])
     def test_nan_range_bound_exits_one(self, bounds, curve_file):
-        # a NaN bound is not finite, not a misordered range
+        # a NaN or infinite bound is not finite, not a misordered range;
+        # argparse reads "-inf" as an option, so no negative infinity gets here
         proc = run_cli("curve-sample", curve_file, "--samples", "3", "--range", *bounds, expect=1)
         assert proc.stdout == ""
-        assert proc.stderr == "shiftknot: error: parameter must be finite, got nan\n"
+        bad = bounds[0] if bounds[0] != "0" else bounds[1]
+        assert proc.stderr == f"shiftknot: error: parameter must be finite, got {bad}\n"
 
     def test_output_to_unwritable_path(self, curve_file):
         proc = run_cli(
