@@ -58,6 +58,9 @@ class ShiftedKnotConfig:
         except OverflowError:
             # an integer beyond float range, such as a JSON literal 10**400
             alpha = beta = math.inf
+        except (TypeError, ValueError):
+            raise ConstraintError("shift parameters must be real numbers,"
+                                  f" got ({self.alpha!r}, {self.beta!r})") from None
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ConstraintError("shift parameters must be finite")
         if alpha < 0 or beta < 0:
@@ -113,7 +116,10 @@ class DomainInterval:
         A ``t`` equal to an end comes back as that end itself, so the zero
         of the other sign than ``lo`` is ``lo``.
         """
-        t = float(t)
+        try:
+            t = float(t)
+        except (TypeError, ValueError):
+            raise ConstraintError(f"parameter must be a real number, got {t!r}") from None
         if not self.admit_lo <= t <= self.admit_hi:  # NaN fails it too
             if not math.isfinite(t):
                 raise DomainError(f"parameter must be finite, got {t!r}")
@@ -126,7 +132,10 @@ class DomainInterval:
         return min(self.hi, max(self.lo, t))
 
     def admit_array(self, ts, clamp: bool = False) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.float64)
+        try:
+            ts = np.asarray(ts, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConstraintError("parameter samples must be real numbers") from None
         if ts.ndim != 1:
             raise ConstraintError("parameter samples must form a one-dimensional array")
         if not np.all(np.isfinite(ts)):

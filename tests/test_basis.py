@@ -69,6 +69,22 @@ class TestConfig:
         with pytest.raises(ConstraintError):
             make_config(alpha, beta)
 
+    @pytest.mark.parametrize("alpha,beta", [("a", 1), (None, 1), (1, [2])], ids=repr)
+    def test_non_numbers_rejected(self, alpha, beta):
+        with pytest.raises(ConstraintError, match="shift parameters must be real numbers"):
+            make_config(alpha, beta)
+
+    def test_numeric_strings_accepted(self):
+        assert make_config("4", "6.0") == make_config(4, 6)
+
+    @pytest.mark.parametrize("cls, points", [(Curve, np.zeros((2, 2))),
+                                             (SurfacePatch, np.zeros((2, 2, 2)))],
+                             ids=["Curve", "SurfacePatch"])
+    @pytest.mark.parametrize("config", [(4, 6), None, "config"], ids=repr)
+    def test_geometry_needs_a_config(self, cls, points, config):
+        with pytest.raises(ConstraintError, match="^config must be a ShiftedKnotConfig$"):
+            cls(config, points)
+
     def test_config_is_immutable(self):
         cfg = make_config(1, 2)
         with pytest.raises(AttributeError):
@@ -152,10 +168,14 @@ class TestDomain:
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=repr)
     def test_admission_rejects_non_finite(self, t, clamp):
+        # a scalar by admit, and a sample among finite ones by admit_array
         for shift in PIN_SHIFTS:
             for n in (1, 3, MAX_DEGREE):
-                with pytest.raises(DomainError, match="parameter must be finite"):
-                    domain(make_config(*shift), n).admit(t, clamp)
+                dom = domain(make_config(*shift), n)
+                with pytest.raises(DomainError, match="^parameter must be finite, got"):
+                    dom.admit(t, clamp)
+                with pytest.raises(DomainError, match="^parameter samples must be finite$"):
+                    dom.admit_array([dom.lo, t], clamp)
 
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, -0.0], ids=repr)
@@ -349,20 +369,40 @@ _CURVE = Curve(make_config(4, 6), np.arange(8.0).reshape(4, 2))
 _PATCH = SurfacePatch(make_config(4, 6), np.arange(24.0).reshape(4, 2, 3))
 _T = _CURVE.domain.from_unit(0.3)
 _U, _V = _PATCH.domain_u.from_unit(0.3), _PATCH.domain_v.from_unit(0.6)
+# each single-point route at one point inside its domain; its argument,
+# when given, replaces the parameter that the route admits first
 SINGLE_POINT_ROUTES = {
-    "basis_value": lambda: basis_value(_CURVE.config, (3, 1), _T),
-    "basis_derivative": lambda: basis_derivative(_CURVE.config, (3, 1), _T),
-    "basis_row": lambda: basis_row(_CURVE.config, 3, _T),
-    "basis_row_by_recurrence": lambda: basis_row_by_recurrence(_CURVE.config, 3, _T),
-    "step_matrix": lambda: step_matrix(_CURVE.config, 3, 1, _T),
-    "eval_direct": lambda: eval_direct(_CURVE, _T),
-    "eval_decasteljau": lambda: eval_decasteljau(_CURVE, _T),
-    "eval_matrix_form": lambda: eval_matrix_form(_CURVE, _T),
-    "eval_patch": lambda: eval_patch(_PATCH, _U, _V),
-    "eval_patch_decasteljau": lambda: eval_patch_decasteljau(_PATCH, _U, _V),
-    "isoparam_u": lambda: isoparam_u(_PATCH, _V),
-    "isoparam_v": lambda: isoparam_v(_PATCH, _U),
+    "basis_value": lambda t=_T: basis_value(_CURVE.config, (3, 1), t),
+    "basis_derivative": lambda t=_T: basis_derivative(_CURVE.config, (3, 1), t),
+    "basis_row": lambda t=_T: basis_row(_CURVE.config, 3, t),
+    "basis_row_by_recurrence": lambda t=_T: basis_row_by_recurrence(_CURVE.config, 3, t),
+    "step_matrix": lambda t=_T: step_matrix(_CURVE.config, 3, 1, t),
+    "eval_direct": lambda t=_T: eval_direct(_CURVE, t),
+    "eval_decasteljau": lambda t=_T: eval_decasteljau(_CURVE, t),
+    "eval_matrix_form": lambda t=_T: eval_matrix_form(_CURVE, t),
+    "eval_patch": lambda u=_U: eval_patch(_PATCH, u, _V),
+    "eval_patch_decasteljau": lambda u=_U: eval_patch_decasteljau(_PATCH, u, _V),
+    "isoparam_u": lambda v=_V: isoparam_u(_PATCH, v),
+    "isoparam_v": lambda u=_U: isoparam_v(_PATCH, u),
 }
+
+
+@pytest.mark.parametrize("t", ["abc", None, [_T], np.array([_T, _T])],
+                         ids=["text", "None", "list", "two-element-array"])
+@pytest.mark.parametrize("route", list(SINGLE_POINT_ROUTES))
+def test_single_point_routes_reject_a_non_number(route, t):
+    with pytest.raises(ConstraintError, match="^parameter must be a real number, got"):
+        SINGLE_POINT_ROUTES[route](t)
+
+
+@pytest.mark.parametrize("route", list(SINGLE_POINT_ROUTES))
+def test_single_point_routes_read_a_numeric_string(route):
+    call = SINGLE_POINT_ROUTES[route]
+    t = call.__defaults__[0]
+    got, want = call(repr(t)), call(t)
+    if isinstance(want, Curve):
+        got, want = got.control, want.control
+    assert_bits_equal(np.asarray(got), np.asarray(want), route)
 
 
 class TestSinglePointAdmission:
@@ -422,6 +462,17 @@ BATCH_ROUTES = {
     "sample_patch.u": (lambda ts: sample_patch(_PATCH, ts, [_V]), _U),
     "sample_patch.v": (lambda ts: sample_patch(_PATCH, [_U], ts), _V),
 }
+
+
+@pytest.mark.parametrize("route", list(BATCH_ROUTES))
+def test_batch_routes_reject_non_numbers_and_non_finite_samples(route):
+    call, t = BATCH_ROUTES[route]
+    for ts in (["a"], [t, "abc"]):
+        with pytest.raises(ConstraintError, match="^parameter samples must be real numbers$"):
+            call(ts)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^parameter samples must be finite$"):
+            call([t, bad])
 
 
 @pytest.mark.parametrize("route", list(BATCH_ROUTES))
