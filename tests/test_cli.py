@@ -24,7 +24,7 @@ import pytest
 
 from shiftknot import (Curve, SurfacePatch, eval_direct, load_curve, make_config, sample_curve,
                        save_curve, save_patch)
-from shiftknot import cli, files
+from shiftknot import _kernels, cli, files
 from shiftknot.errors import ConstraintError
 
 from _helpers import run_shiftknot
@@ -736,11 +736,32 @@ def test_stdout_does_not_depend_on_avx512_dispatch(golden, golden_dir):
 
 def _reaches_blas(argv) -> bool:
     """Whether a golden invocation goes through a BLAS product: a patch grid,
-    or a curve's direct or matrix route, the direct one being the default.
-    Their bytes still follow OpenBLAS's per-CPU kernels."""
-    return argv[0] == "surface-sample" or (
-        argv[0] in ("curve-eval", "curve-sample") and "decasteljau" not in argv
-    )
+    or a curve's matrix route. Their bytes still follow OpenBLAS's per-CPU
+    kernels."""
+    return argv[0] == "surface-sample" or "matrix" in argv
+
+
+def test_reaches_blas_names_the_cases_that_call_blas(golden_dir, monkeypatch):
+    # every BLAS call of the package is in _kernels.blend or
+    # _kernels.step_products (TestBlasBoundary): a case that exits 0 calls
+    # one of them exactly when the rule above says it reaches BLAS
+    called = []
+
+    def spy(kernel):
+        def wrapper(*args):
+            called.append(kernel.__name__)
+            return kernel(*args)
+        return wrapper
+
+    monkeypatch.chdir(golden_dir)
+    for name in ("blend", "step_products"):
+        monkeypatch.setattr(_kernels, name, spy(getattr(_kernels, name)))
+    wrong = []
+    for argv in GOLDEN_MATRIX:
+        called.clear()
+        if _golden_digest(argv)[1] == 0 and bool(called) != _reaches_blas(argv):
+            wrong.append(" ".join(argv))
+    assert wrong == []
 
 
 _BLAS_FREE_MATRIX = [argv for argv in GOLDEN_MATRIX if not _reaches_blas(argv)]

@@ -1,17 +1,19 @@
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from shiftknot import _kernels
+from shiftknot import _kernels, cli
 from shiftknot._kernels import band_matrices
+from shiftknot.files import curve_to_json
 from shiftknot import (
     MAX_DEGREE,
     ConstraintError,
     Curve,
     DomainError,
     SurfacePatch,
-    basis_rows,
     decasteljau_triangle,
     domain,
     elevate,
@@ -289,19 +291,47 @@ class TestMatrixRoutePins:
 
 
 class TestDirectRoutePins:
-    """``eval_direct`` returns, bit for bit, the batch basis row at its
-    parameter contracted with the control polygon."""
+    """``eval_direct`` returns, bit for bit, the one-sample direct sampler at
+    its parameter, and a sampler row at any parameter of a grid: neither
+    route touches BLAS, and both sum the same terms in the same order."""
 
     @pytest.mark.parametrize("shift", PIN_SHIFTS)
-    def test_point_matches_batch_row(self, shift):
+    def test_point_matches_one_sample_sampler(self, shift):
         for curve, _ in pinned_curves(*shift, 3):
-            cfg, n = curve.config, curve.degree
             assert_pinned(
                 lambda t, clamp: eval_direct(curve, t, clamp=clamp),
-                lambda t, clamp: basis_rows(cfg, n, [t], clamp=clamp)[0] @ curve.control,
-                [(t,) for t in point_params(curve.domain, seed=n)],
-                f"degree {n}",
+                lambda t, clamp: sample_curve(curve, [t], clamp=clamp)[0],
+                [(t,) for t in point_params(curve.domain, seed=curve.degree)],
+                f"degree {curve.degree}",
             )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("shift", PIN_SHIFTS)
+    def test_point_matches_its_sampler_row(self, shift, dim):
+        rng = np.random.default_rng(dim)
+        for degree in (1, 3, 10, 20, MAX_DEGREE):
+            curve = random_curve(rng, degree=degree, dim=dim, config=make_config(*shift))
+            ts = curve.domain.grid(300)
+            rows = sample_curve(curve, ts)
+            for t, row in zip(ts.tolist(), rows):
+                assert_bits_equal(eval_direct(curve, t), row, f"degree {degree} at {t!r}")
+
+    def test_no_call_reaches_blend(self, tmp_path, monkeypatch):
+        # the direct curve route sums in _kernels.combine; blend, the one
+        # BLAS contraction left besides the step products, serves patches
+        def refuse(*args):
+            raise AssertionError("the direct curve route called blend")
+
+        monkeypatch.setattr(_kernels, "blend", refuse)
+        curve = parabola_curve()
+        assert_bits_equal(eval_direct(curve, 0.6), sample_curve(curve, [0.6])[0])
+        assert sample_curve(curve, curve.domain.grid(5000), algorithm="direct").shape == (5000, 2)
+        path = tmp_path / "parabola.json"
+        path.write_text(curve_to_json(curve), encoding="utf-8")
+        for argv in (["curve-eval", str(path), "0.6", "--algorithm", "direct"],
+                     ["curve-sample", str(path), "--algorithm", "direct", "--samples", "5000"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
 
 
 class TestPyramidRoutePins:

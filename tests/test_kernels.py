@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import math
 import operator
@@ -343,6 +344,58 @@ class TestBlend:
         for a, before in zip((rows, points), copies):
             assert_bits_equal(a, before)
             assert not np.shares_memory(got, a)
+
+
+def _rising_sum(rows, points):
+    """``rows @ points`` in Python floats: each coordinate is the first term
+    ``rows[s][0] * points[0][c]`` plus each later term in rising ``k``."""
+    cols = list(zip(*points))
+    return [[functools.reduce(operator.add, map(operator.mul, row, col)) for col in cols]
+            for row in rows]
+
+
+class TestCombine:
+    @pytest.mark.parametrize("samples", [1, 7, 5000])
+    def test_pins_the_rising_sum(self, samples):
+        # bit for bit, at every degree up to MAX_DEGREE, with both domain
+        # ends and signed zeros among the points, on the basis rows' own
+        # Fortran-ordered layout and on C-ordered rows
+        rng = np.random.default_rng(samples)
+        for n, dim in itertools.product(range(1, MAX_DEGREE + 1), (1, 3)):
+            wr = rng.uniform(size=samples)
+            wr[: min(samples, 2)] = [0.0, 1.0][:samples]
+            rows = _kernels.basis_rows_batch(1.0 - wr, wr, binomial_row(n))
+            points = rng.uniform(-5, 5, size=(n + 1, dim))
+            zeros = rng.uniform(size=points.shape) < 1 / 4
+            points[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            want = np.array(_rising_sum(rows.tolist(), points.tolist()))
+            got = _kernels.combine(rows, points)
+            assert got.flags.f_contiguous
+            assert_bits_equal(got, want, f"degree {n}, dim {dim}")
+            assert_bits_equal(_kernels.combine(np.ascontiguousarray(rows), points), want)
+            assert_bits_equal(_kernels.combine(rows[0].copy(), points), want[0])
+
+    def test_all_negative_zero_terms_keep_their_sign(self):
+        # a sum that starts from its first term, not from +0.0
+        points = np.array([[-0.0, 1.0], [-0.0, -0.0]])
+        for rows in (np.array([1.0, 0.5]), np.array([[1.0, 0.5], [0.25, 0.0]])):
+            want = np.array(_rising_sum(np.atleast_2d(rows).tolist(), points.tolist()))
+            assert_bits_equal(_kernels.combine(rows, points), want.reshape(rows.shape[:-1] + (2,)))
+            assert np.signbit(_kernels.combine(rows, points)[..., 0]).all()
+
+    def test_leaves_read_only_inputs_alone(self):
+        rng = np.random.default_rng(11)
+        wr = rng.uniform(size=300)
+        rows = _kernels.basis_rows_batch(1.0 - wr, wr, binomial_row(9))
+        points = rng.uniform(-5, 5, size=(10, 3))
+        copies = [a.copy() for a in (rows, points)]
+        for a in (rows, points):
+            a.setflags(write=False)
+        for r in (rows, rows[0]):
+            got = _kernels.combine(r, points)
+            for a, before in zip((rows, points), copies):
+                assert_bits_equal(a, before)
+                assert not np.shares_memory(got, a)
 
 
 class TestScalarBatchConsistency:
