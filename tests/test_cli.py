@@ -475,7 +475,8 @@ class TestArgumentErrors:
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "cli_golden.json"
 
 # Input files as literal text, so they do not depend on the writer under test.
-# Degrees stay at or below 12.
+# Degrees stay at or below 12, but for the degree-16 and degree-20 files,
+# where OpenBLAS takes other kernels for a transposed operand.
 _HELIX = ", ".join(f"[{k}, {(k * k) % 7 - 3.25!r}, {0.1 * k!r}]" for k in range(13))
 # the benchmark's shapes: a 3-D quintic at (4, 6) and a 3-D degree-(3, 4)
 # patch at (0, 0), with coordinates of mixed sign and magnitude up to 10
@@ -486,6 +487,19 @@ _NET34 = ", ".join(
     "[" + ", ".join(f"[{2.5 * i - 0.3 * j!r}, {1.9 * j - 0.1 * i * i!r}, "
                     f"{((3 * i + 5 * j) % 7 - 3) * 1.45!r}]" for j in range(5)) + "]"
     for i in range(4)
+)
+_WAVE20 = ", ".join(f"[{(k * 5) % 9 - 4.125!r}]" for k in range(21))
+_LOOP20 = ", ".join(f"[{(k * 7) % 13 * 0.75 - 4!r}, {2.5 - (k * k) % 11 * 0.45!r}]"
+                    for k in range(21))
+_NET216 = ", ".join(
+    "[" + ", ".join(f"[{1.5 * i + 0.2 * j!r}, {0.6 * j - 0.05 * i * j!r}, "
+                    f"{((2 * i + 7 * j) % 9 - 4) * 0.35!r}]" for j in range(17)) + "]"
+    for i in range(3)
+)
+_NET2020 = ", ".join(
+    "[" + ", ".join(f"[{i + 0.15 * ((i * j) % 5)!r}, {j - 0.3 * ((i + 2 * j) % 7)!r}]"
+                    for j in range(21)) + "]"
+    for i in range(21)
 )
 GOLDEN_FILES = {
     "line.json": '{"alpha": 0, "beta": 0, "degree": 2, "control": [[0], [-0.0], [1.5]]}',
@@ -511,6 +525,12 @@ GOLDEN_FILES = {
     ),
     "quintic.json": f'{{"alpha": 4, "beta": 6, "degree": 5, "control": [{_QUINTIC}]}}',
     "patch34.json": f'{{"alpha": 0, "beta": 0, "degrees": [3, 4], "control": [{_NET34}]}}',
+    "wave20.json": f'{{"alpha": 4, "beta": 6, "degree": 20, "control": [{_WAVE20}]}}',
+    "loop20.json": f'{{"alpha": 1e3, "beta": 1e4, "degree": 20, "control": [{_LOOP20}]}}',
+    "patch216.json": f'{{"alpha": 4, "beta": 6, "degrees": [2, 16], "control": [{_NET216}]}}',
+    "patch2020.json": (
+        f'{{"alpha": 0, "beta": 0, "degrees": [20, 20], "control": [{_NET2020}]}}'
+    ),
     "bad.json": '{"alpha": 0',
 }
 
@@ -591,6 +611,13 @@ def _golden_matrix() -> list[list[str]]:
          "--format", "json"],
         [*basis, "--format", "json"],
     ]
+    # degrees 16 and 20, where gemm would round F-ordered basis rows otherwise
+    for count in ("9", "40"):
+        cases += [["surface-sample", name, "--samples", count, "--format", "csv"]
+                  for name in ("patch216.json", "patch2020.json")]
+    for count in ("9", "200"):
+        cases += [["curve-sample", name, "--samples", count, "--format", "csv"]
+                  for name in ("wave20.json", "loop20.json")]
     return cases
 
 
