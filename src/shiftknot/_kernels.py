@@ -20,6 +20,7 @@ __all__ = [
     "band_matrices",
     "basis_rows_batch",
     "blend",
+    "combine",
     "decasteljau_batch",
     "elevate_points",
     "patch_grid",
@@ -148,8 +149,27 @@ def decasteljau_batch(control, wl, wr):
     return np.ascontiguousarray(work[0].T)
 
 
+def combine(rows, points):
+    """Sum ``rows[..., k] * points[k]`` over rising ``k``, from the first
+    term, one IEEE multiply and one add per term and no BLAS: shape ``(C,)``
+    for one row ``(K,)``, F-ordered ``(S, C)`` for rows ``(S, K)``.
+
+    Rows are read as their ``(K, S)`` transpose, for basis rows the buffer
+    :func:`basis_rows_batch` fills, one ``k`` at a time into a ``(C, S)``
+    accumulator. One row takes the same sums as a running ``accumulate``.
+    """
+    if rows.ndim == 1:
+        return np.add.accumulate(rows[:, None] * points)[-1]
+    cols = rows.T
+    acc, term = np.multiply.outer(points[0], cols[0]), np.empty((points.shape[1], len(rows)))
+    for col, point in zip(cols[1:], points[1:]):
+        acc += np.multiply.outer(point, col, out=term)
+    return acc.T
+
+
 def blend(rows, points):
-    """Contract one row ``(K,)`` or rows ``(S, K)`` with ``points`` ``(K, ...)``.
+    """Contract one row ``(K,)`` or rows ``(S, K)`` with ``points`` ``(K, ...)``:
+    the patch contraction.
 
     Many rows go in blocks of ``_BLEND_BUDGET // points.size`` rows, at
     least one, one ``matmul`` each, C-ordered: OpenBLAS rounds a transposed

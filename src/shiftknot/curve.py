@@ -106,7 +106,7 @@ class Curve:
 
 def eval_direct(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
     """Blend the control points with the basis row at ``t``."""
-    return _kernels.blend(_basis_row_on(curve.domain, t, clamp), curve.control)
+    return _kernels.combine(_basis_row_on(curve.domain, t, clamp), curve.control)
 
 
 def eval_decasteljau(curve: Curve, t: float, *, clamp: bool = False) -> np.ndarray:
@@ -134,7 +134,7 @@ def sample_curve(curve: Curve, ts, *, algorithm: str = "direct", clamp: bool = F
     ts = dom.admit_array(ts, clamp)
     if algorithm == "direct":
         rows = _kernels.basis_rows_batch(*dom.weights(ts), binomial_row(curve.degree))
-        return _kernels.blend(rows, curve.control)
+        return _kernels.combine(rows, curve.control)
     if algorithm == "decasteljau":
         return _kernels.decasteljau_batch(curve.control, *dom.weights(ts))
     if algorithm == "matrix":
