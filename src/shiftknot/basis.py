@@ -177,6 +177,8 @@ class DomainInterval:
 def _grid(lo: float, hi: float, count: int) -> np.ndarray:
     """``count`` uniform samples from ``lo`` to ``hi``, both bit for bit."""
     count = _check_int(count, 2, math.inf, "sample count", ConstraintError)
+    if count > np.iinfo(np.intp).max // 8:  # no address space holds its grid
+        raise ConstraintError(f"sample count {count} is too large for any address space")
     ts = np.linspace(lo, hi, count)
     ts[0] = lo  # linspace starts a -0.0 interval at +0.0
     return ts

@@ -406,8 +406,9 @@ def main(argv=None) -> int:
             blocks = command(args)
         _emit(blocks, getattr(args, "output", None))
         return 0
-    except (FileFormatError, OSError) as exc:
-        print(f"shiftknot: error: {exc}", file=sys.stderr)
+    except (FileFormatError, OSError, MemoryError) as exc:
+        # output that cannot be made whole, as at an impossible sample count
+        print(f"shiftknot: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"shiftknot: error: {exc}", file=sys.stderr)

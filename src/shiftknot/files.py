@@ -74,12 +74,17 @@ def patch_to_json(patch: SurfacePatch) -> str:
                        "control": patch.net}) + "\n"
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_dict(text: str) -> dict:
     try:
         # FLOAT_SPEC writes -0.0 as "-0", which JSON reads as the integer 0
-        data = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        data = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s),
+                          parse_constant=_refuse_constant)
     except ValueError as exc:
-        # JSONDecodeError, or an integer literal past int's digit limit
+        # JSONDecodeError, NaN or Infinity, or an integer past int's digit limit
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError("not valid JSON: nested too deeply") from exc

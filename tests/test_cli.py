@@ -232,6 +232,33 @@ class TestCurveCommands:
         assert len(proc.stderr.splitlines()) == 1
         assert "coordinates must be numbers" in proc.stderr
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where", ["alpha", "beta", "curve", "patch"])
+    def test_json_constant_exits_two(self, tmp_path, capsys, token, where):
+        # Python's json reads these tokens, but they are not JSON numbers;
+        # the valid literal 1e400 reads as infinity and exits 1
+        for value, code in ((token, 2), ("1e400", 1)):
+            shift = {"alpha": "0", "beta": "1e3"}
+            if where in shift:
+                shift[where] = value
+            head = f'{{"alpha": {shift["alpha"]}, "beta": {shift["beta"]}, '
+            if where == "patch":
+                text = head + ('"degrees": [1, 1], "control":'
+                               f' [[[0, 0, {value}], [0, 1, 0]], [[1, 0, 0], [1, 1, 1]]]}}')
+            else:
+                x = value if where == "curve" else "0"
+                text = head + f'"degree": 1, "control": [[{x}, 1], [2, 3]]}}'
+            path = tmp_path / "constant.json"
+            path.write_text(text, encoding="utf-8")
+            command = "surface-sample" if where == "patch" else "curve-sample"
+            assert cli.main([command, str(path), "--samples", "3"]) == code, value
+            out, err = capsys.readouterr()
+            assert out == ""
+            if code == 2:
+                assert err == f"shiftknot: error: not valid JSON: {token} is not a JSON number\n"
+            else:
+                assert err.startswith("shiftknot: error: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["curve-sample", "surface-sample"])
     def test_ragged_points_exit_two(self, tmp_path, command):
         # control points of different lengths are off the schema
@@ -419,6 +446,32 @@ class TestArgumentErrors:
         )
         assert proc.stdout == ""
         assert proc.stderr == "shiftknot: error: sample count must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("command", ["basis", "curve-sample", "surface-sample"])
+    def test_sample_count_past_any_address_space_exits_one(self, command, capsys,
+                                                           curve_file, patch_file):
+        # 2**60 doubles are 8 EiB: refused before any allocation
+        argv = {"basis": ["basis", "--alpha", "4", "--beta", "6", "--degree", "3"],
+                "curve-sample": ["curve-sample", curve_file],
+                "surface-sample": ["surface-sample", patch_file]}[command]
+        assert cli.main([*argv, "--samples", str(2**60)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"shiftknot: error: sample count {2**60} is too large for any address space\n"
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+    def test_memory_error_exits_two(self, message, capsys, monkeypatch, curve_file, tmp_path):
+        # an output that cannot be made whole: one error line, and no file
+        def exhausted(*args):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(_kernels, "combine", exhausted)
+        path = tmp_path / "out.csv"
+        assert cli.main(["curve-sample", curve_file, "--output", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"shiftknot: error: {message or 'MemoryError'}\n"
+        assert not path.exists()
 
     def test_elevate_past_max_degree_exits_one(self, tmp_path):
         path = tmp_path / "degree64.json"

@@ -151,6 +151,15 @@ class TestMalformedInput:
             parse_curve('{"alpha": 0, "beta": 0, "degree": 1, "control": [[0, 1%s], [2, 3]]}'
                         % ("0" * 5000))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_json_constants_are_not_numbers(self, token):
+        # reported once, as not valid JSON, wherever the token stands
+        for text in (f'{{"alpha": {token}, "beta": 0, "degree": 1, "control": [[0], [1]]}}',
+                     f'{{"alpha": 0, "beta": 0, "degree": 1, "control": [[0], [{token}]]}}'):
+            with pytest.raises(FileFormatError) as info:
+                parse_curve(text)
+            assert str(info.value) == f"not valid JSON: {token} is not a JSON number"
+
     def test_top_level_not_object(self):
         with pytest.raises(FileFormatError, match="object"):
             parse_curve("[1, 2, 3]")
