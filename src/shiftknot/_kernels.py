@@ -150,14 +150,11 @@ def decasteljau_batch(control, wl, wr):
 
 
 def combine(rows, points):
-    """Sum ``rows[..., k] * points[k]`` over rising ``k``, from the first
-    term, one IEEE multiply and one add per term and no BLAS: shape ``(C,)``
-    for one row ``(K,)``, F-ordered ``(S, C)`` for rows ``(S, K)``.
-
-    Rows are read as their ``(K, S)`` transpose, for basis rows the buffer
-    :func:`basis_rows_batch` fills, one ``k`` at a time into a ``(C, S)``
-    accumulator. One row takes the same sums as a running ``accumulate``.
-    """
+    """``rows @ points`` for one row ``(K,)`` or rows ``(S, K)``, with no BLAS:
+    each term ``rows[..., k] * points[k]`` added in rising ``k`` from the
+    first, one IEEE multiply and one add each. Rows are read as their
+    ``(K, S)`` transpose, the buffer of :func:`basis_rows_batch`, into a
+    ``(C, S)`` accumulator whose transpose, F-ordered, is returned."""
     if rows.ndim == 1:
         return np.add.accumulate(rows[:, None] * points)[-1]
     cols = rows.T
@@ -168,8 +165,7 @@ def combine(rows, points):
 
 
 def blend(rows, points):
-    """Contract one row ``(K,)`` or rows ``(S, K)`` with ``points`` ``(K, ...)``:
-    the patch contraction.
+    """Contract one row ``(K,)`` or rows ``(S, K)`` with a patch's ``(K, ...)``.
 
     Many rows go in blocks of ``_BLEND_BUDGET // points.size`` rows, at
     least one, one ``matmul`` each, C-ordered: OpenBLAS rounds a transposed
