@@ -296,7 +296,7 @@ class TestDirectRoutePins:
     route touches BLAS, and both sum the same terms in the same order."""
 
     @pytest.mark.parametrize("shift", PIN_SHIFTS)
-    def test_point_matches_one_sample_sampler(self, shift):
+    def test_point_matches_batch_row(self, shift):
         for curve, _ in pinned_curves(*shift, 3):
             assert_pinned(
                 lambda t, clamp: eval_direct(curve, t, clamp=clamp),
